@@ -14,6 +14,7 @@
 // admitted conformant flow loses a packet — the guarantee the thresholds
 // exist to keep.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "expt/churn_experiment.h"
@@ -74,7 +75,13 @@ int main(int argc, char** argv) {
               scheme_name.c_str(), config.churn.arrival_rate_hz,
               config.churn.mean_holding.to_seconds() * 1e3);
 
-  const ChurnResult r = run_churn_experiment(config);
+  ChurnResult r;
+  try {
+    r = run_churn_experiment(config);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("arrivals            : %llu\n",
               static_cast<unsigned long long>(r.counters.arrivals));

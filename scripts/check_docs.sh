@@ -9,8 +9,9 @@
 #   4. every backticked repo path (`src/...`, `scripts/...`, ...)
 #      resolves to a real file, directory, or non-empty glob — stale
 #      file references die here instead of in a reader's shell, and
-#   5. "N tests" claims agree across the docs, and with the real
-#      `ctest -N` total when a configured build directory is given.
+#   5. "N tests" (or "N gtest cases" / "N test cases") claims agree
+#      across the docs, and with the real `ctest -N` total when a
+#      configured build directory is given.
 #
 #   scripts/check_docs.sh [repo-root] [build-dir]
 set -euo pipefail
@@ -75,7 +76,8 @@ done < <(docs)
 # --- 4. backticked repo paths exist ---------------------------------------
 # Tokens in backticks that look like repo-anchored paths must resolve.
 # Globs (*) must match something; tokens with placeholders (<>, {})
-# are prose, not paths, and are skipped.
+# are prose, not paths, and are skipped.  CHANGES.md is excluded: its
+# per-PR lines name files as they were at that PR, deleted ones too.
 while IFS= read -r doc; do
   while IFS= read -r token; do
     case "$token" in
@@ -94,15 +96,15 @@ while IFS= read -r doc; do
     fi
   done < <(grep -oE '`(src|tests|scripts|tools|bench|examples|results)/[A-Za-z0-9_.*{}<>/$-]*`' "$doc" \
            | sed 's/^`//; s/`$//')
-done < <(docs)
+done < <(docs | grep -v '/CHANGES\.md$')
 
-# --- 5. "N tests" claims are consistent (and real, given a build) ---------
+# --- 5. "N tests" / "N [g]test cases" claims are consistent (and real) ----
 # CHANGES.md is excluded: its per-PR lines record the count *at that PR*
 # by design.
 # The boundary guard ([^0-9-]) keeps "tier-1 tests" from reading as a
 # claim of 1 test.
 claims="$(docs | grep -v '/CHANGES\.md$' \
-  | xargs grep -hoE '(^|[^0-9-])[0-9]+ tests' 2>/dev/null \
+  | xargs grep -hoE '(^|[^0-9-])[0-9]+ (tests|g?test cases)' 2>/dev/null \
   | grep -oE '[0-9]+' | sort -u)"
 if [ "$(echo "$claims" | grep -c . || true)" -gt 1 ]; then
   echo "FAIL docs disagree on the test count: $(echo "$claims" | tr '\n' ' ')" >&2

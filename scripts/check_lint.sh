@@ -8,9 +8,7 @@
 #
 # Uses the already-built linter from <build-dir> when present, otherwise
 # compiles it directly — the check must run even where CMake has not,
-# so CI can never silently skip it.  Finishes with the advisory libclang
-# cross-check, which never affects the exit code (it reports with a real
-# C++ frontend when python3-clang is installed and skips otherwise).
+# so CI can never silently skip it.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -50,9 +48,5 @@ if [ "$status" -ne 0 ]; then
        "with a reason (see src/util/annotations.h)" >&2
   exit "$status"
 fi
-
-# Advisory second opinion; informational only.
-python3 "$repo_root/tools/bufq_lint/libclang_check.py" \
-  --root="$repo_root" --compdb="$build_dir/compile_commands.json" || true
 
 echo "check_lint: tree is clean."

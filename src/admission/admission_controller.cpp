@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/admit_policy.h"
 #include "sim/checkpoint.h"
 
 namespace bufq::admission {
@@ -131,9 +132,7 @@ std::int64_t AdmissionController::threshold_bytes(const FlowSpec& flow) const {
   if (config_.scheme == Scheme::kWfq) return flow.sigma.count();
   // Prop 2 against the partitioned (headroom-excluded) buffer.  Round
   // down so the sum of thresholds never exceeds the partition.
-  const double t = static_cast<double>(flow.sigma.count()) +
-                   partition_bytes() * (flow.rho.bps() / config_.link_rate.bps());
-  return static_cast<std::int64_t>(t);
+  return static_cast<std::int64_t>(prop2_threshold(flow, partition_bytes(), config_.link_rate));
 }
 
 double AdmissionController::required_buffer_bytes() const {

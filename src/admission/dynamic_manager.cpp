@@ -1,7 +1,5 @@
 #include "admission/dynamic_manager.h"
 
-
-#include <algorithm>
 #include <cassert>
 
 #include "check/invariants.h"
@@ -14,15 +12,11 @@ DynamicBufferManager::DynamicBufferManager(ByteSize capacity, FlowTable& table, 
     : capacity_{capacity},
       table_{table},
       policy_{policy},
-      max_headroom_{std::min(max_headroom.count(), capacity.count())} {
+      pools_{capacity.count(), max_headroom.count()} {
   assert(capacity.count() >= 0);
-  assert(max_headroom.count() >= 0);
-  // The buffer starts empty: headroom at its cap, the rest is holes.
-  headroom_ = max_headroom_;
-  holes_ = capacity_.count() - headroom_;
 }
 
-bool DynamicBufferManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
+BUFQ_HOT bool DynamicBufferManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
   static_cast<void>(now);
   assert(flow >= 0);
   const auto slot = static_cast<std::uint32_t>(flow);
@@ -34,8 +28,7 @@ bool DynamicBufferManager::try_admit(FlowId flow, std::int64_t bytes, Time now) 
   const std::int64_t t = table_.threshold(slot);
 
   if (policy_ == Policy::kThreshold) {
-    if (q + bytes > t) return false;
-    if (total_ + bytes > capacity_.count()) return false;
+    if (!threshold_admits(q, t, total_, capacity_.count(), bytes)) return false;
     table_.add_occupancy(slot, bytes);
     total_ += bytes;
     BUFQ_CHECK(table_.occupancy(slot) <= t, check::Invariant::kFlowBound, flow, now,
@@ -47,28 +40,14 @@ bool DynamicBufferManager::try_admit(FlowId flow, std::int64_t bytes, Time now) 
     return true;
   }
 
-  // kSharing, the S3.3 pool algorithm (see BufferSharingManager).
-  if (q + bytes <= t) {
-    // Below threshold: entitled to space.  Holes first, headroom second.
-    const std::int64_t from_holes = std::min(holes_, bytes);
-    const std::int64_t from_headroom = bytes - from_holes;
-    if (from_headroom > headroom_) return false;
-    holes_ -= from_holes;
-    headroom_ -= from_headroom;
-  } else {
-    // Above threshold: holes only, and the flow's excess after admission
-    // may not exceed the holes that remain.
-    if (bytes > holes_) return false;
-    if (q + bytes - t > holes_ - bytes) return false;
-    holes_ -= bytes;
-  }
+  if (!pools_.admit(q, t, bytes, /*may_borrow=*/true)) return false;
   table_.add_occupancy(slot, bytes);
   total_ += bytes;
-  check_pools(flow, now);
+  pools_.check_pools(flow, now, total_, capacity_.count());
   return true;
 }
 
-void DynamicBufferManager::release(FlowId flow, std::int64_t bytes, Time now) {
+BUFQ_HOT void DynamicBufferManager::release(FlowId flow, std::int64_t bytes, Time now) {
   static_cast<void>(now);
   assert(flow >= 0);
   const auto slot = static_cast<std::uint32_t>(flow);
@@ -81,30 +60,9 @@ void DynamicBufferManager::release(FlowId flow, std::int64_t bytes, Time now) {
   BUFQ_CHECK(total_ >= 0, check::Invariant::kConservation, flow, now,
              static_cast<double>(total_), 0.0, "release drove total occupancy negative");
   if (policy_ == Policy::kSharing) {
-    // Freed space replenishes the headroom first (up to its cap); only the
-    // overflow becomes holes again — the paper's departure pseudocode.
-    headroom_ += bytes;
-    holes_ += std::max<std::int64_t>(headroom_ - max_headroom_, 0);
-    headroom_ = std::min(headroom_, max_headroom_);
-    check_pools(flow, now);
+    pools_.release(bytes);
+    pools_.check_pools(flow, now, total_, capacity_.count());
   }
-}
-
-/// Section 3.3 pool discipline under churn: pools within bounds and, with
-/// the live occupancy, exactly tiling the buffer.
-void DynamicBufferManager::check_pools(FlowId flow, Time now) const {
-  BUFQ_CHECK(holes_ >= 0, check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_), 0.0, "sharing holes went negative");
-  BUFQ_CHECK(headroom_ >= 0 && headroom_ <= max_headroom_, check::Invariant::kSharingPools,
-             flow, now, static_cast<double>(headroom_), static_cast<double>(max_headroom_),
-             "sharing headroom outside [0, H]");
-  BUFQ_CHECK(holes_ + headroom_ + total_ == capacity_.count(),
-             check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_ + headroom_ + total_),
-             static_cast<double>(capacity_.count()),
-             "holes + headroom + occupancy no longer tile the buffer");
-  static_cast<void>(flow);
-  static_cast<void>(now);
 }
 
 std::int64_t DynamicBufferManager::occupancy(FlowId flow) const {
@@ -113,20 +71,19 @@ std::int64_t DynamicBufferManager::occupancy(FlowId flow) const {
   return table_.active(slot) ? table_.occupancy(slot) : 0;
 }
 
-
 void DynamicBufferManager::save_state(CheckpointWriter& w) const {
   w.begin_section("bm.dynamic");
   w.write_i64(total_);
-  w.write_i64(holes_);
-  w.write_i64(headroom_);
+  w.write_i64(pools_.holes);
+  w.write_i64(pools_.headroom);
   w.end_section();
 }
 
 void DynamicBufferManager::restore_state(CheckpointReader& r) {
   r.begin_section("bm.dynamic");
   total_ = r.read_i64();
-  holes_ = r.read_i64();
-  headroom_ = r.read_i64();
+  pools_.holes = r.read_i64();
+  pools_.headroom = r.read_i64();
   r.end_section();
 }
 

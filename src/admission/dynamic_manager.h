@@ -12,14 +12,19 @@
 //     buffer and keeps the flow at or below its threshold.  Because a
 //     flow's Prop-2 threshold depends only on its own envelope and (B, R),
 //     thresholds never need recomputation when other flows churn.
-//   * kSharing — holes/headroom sharing (S3.3), the same pool algorithm
-//     as BufferSharingManager.  Flow churn leaves the pools untouched
-//     since flows are admitted empty and recycled only after draining.
+//   * kSharing — holes/headroom sharing (S3.3).  Flow churn leaves the
+//     pools untouched since flows are admitted empty and recycled only
+//     after draining.
+//
+// Both rules are the ones in core/admit_policy.h, shared with the static
+// managers; this class adds only the FlowTable storage and the
+// stale-slot refusal.
 #pragma once
 
 #include <cstdint>
 
 #include "admission/flow_table.h"
+#include "core/admit_policy.h"
 #include "core/buffer_manager.h"
 #include "util/units.h"
 
@@ -30,7 +35,8 @@ class DynamicBufferManager final : public BufferManager {
   enum class Policy { kThreshold, kSharing };
 
   /// The manager does not own the table; packets are attributed by
-  /// FlowId == table slot.
+  /// FlowId == table slot.  Throws std::invalid_argument for a negative
+  /// headroom.
   DynamicBufferManager(ByteSize capacity, FlowTable& table, Policy policy,
                        ByteSize max_headroom = ByteSize::zero());
 
@@ -41,8 +47,8 @@ class DynamicBufferManager final : public BufferManager {
   [[nodiscard]] std::int64_t total_occupancy() const override { return total_; }
   [[nodiscard]] ByteSize capacity() const override { return capacity_; }
 
-  [[nodiscard]] std::int64_t holes() const { return holes_; }
-  [[nodiscard]] std::int64_t headroom() const { return headroom_; }
+  [[nodiscard]] std::int64_t holes() const { return pools_.holes; }
+  [[nodiscard]] std::int64_t headroom() const { return pools_.headroom; }
 
   /// Checkpointable: totals and pool state — per-flow occupancy lives in
   /// the FlowTable, which checkpoints itself.
@@ -50,16 +56,13 @@ class DynamicBufferManager final : public BufferManager {
   void restore_state(CheckpointReader& r) override;
 
  private:
-  void check_pools(FlowId flow, Time now) const;
-
   ByteSize capacity_;
   FlowTable& table_;
   Policy policy_;
-  std::int64_t max_headroom_{0};
   std::int64_t total_{0};
-  // kSharing pool state; invariant: holes + headroom + total == capacity.
-  std::int64_t holes_{0};
-  std::int64_t headroom_{0};
+  // Updated under kSharing only; kThreshold keeps (and checkpoints) the
+  // empty-buffer pools.
+  SharingPools pools_;
 };
 
 }  // namespace bufq::admission

@@ -1,7 +1,5 @@
 #include "core/sharing.h"
 
-
-#include <algorithm>
 #include <cassert>
 
 #include "check/invariants.h"
@@ -12,26 +10,32 @@ namespace bufq {
 BufferSharingManager::BufferSharingManager(ByteSize capacity, Rate link_rate,
                                            const std::vector<FlowSpec>& flows,
                                            ByteSize max_headroom, ThresholdScaling scaling)
-    : AccountingBufferManager{capacity, flows.size()},
-      thresholds_{compute_thresholds(flows, capacity, link_rate, scaling)},
-      max_headroom_{max_headroom} {
-  init_pools();
-}
+    : BufferSharingManager{capacity, compute_thresholds(flows, capacity, link_rate, scaling),
+                           max_headroom} {}
 
 BufferSharingManager::BufferSharingManager(ByteSize capacity, std::vector<std::int64_t> thresholds,
                                            ByteSize max_headroom)
     : AccountingBufferManager{capacity, thresholds.size()},
       thresholds_{std::move(thresholds)},
-      max_headroom_{max_headroom} {
-  init_pools();
-}
+      may_borrow_(thresholds_.size(), true),
+      max_headroom_{max_headroom},
+      pools_{capacity.count(), max_headroom.count()} {}
 
-void BufferSharingManager::init_pools() {
-  assert(max_headroom_.count() >= 0);
-  // The buffer starts empty: the headroom is at its cap and everything
-  // else is holes.
-  headroom_ = std::min(max_headroom_.count(), capacity().count());
-  holes_ = capacity().count() - headroom_;
+BufferSharingManager::BufferSharingManager(ByteSize capacity, Rate link_rate,
+                                           const std::vector<FlowSpec>& flows,
+                                           const std::vector<SharingClass>& classes,
+                                           ByteSize max_headroom, ThresholdScaling scaling)
+    : BufferSharingManager{capacity, compute_thresholds(flows, capacity, link_rate, scaling),
+                           classes, max_headroom} {}
+
+BufferSharingManager::BufferSharingManager(ByteSize capacity, std::vector<std::int64_t> thresholds,
+                                           const std::vector<SharingClass>& classes,
+                                           ByteSize max_headroom)
+    : BufferSharingManager{capacity, std::move(thresholds), max_headroom} {
+  assert(classes.size() == may_borrow_.size());
+  for (std::size_t f = 0; f < classes.size(); ++f) {
+    may_borrow_[f] = classes[f] == SharingClass::kAdaptive;
+  }
 }
 
 std::int64_t BufferSharingManager::threshold(FlowId flow) const {
@@ -39,73 +43,44 @@ std::int64_t BufferSharingManager::threshold(FlowId flow) const {
   return thresholds_[static_cast<std::size_t>(flow)];
 }
 
-bool BufferSharingManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
-  const std::int64_t q = occupancy(flow);
-  const std::int64_t t = threshold(flow);
-  if (q + bytes <= t) {
-    // Below threshold: entitled to space.  Holes first, headroom second.
-    const std::int64_t from_holes = std::min(holes_, bytes);
-    const std::int64_t from_headroom = bytes - from_holes;
-    if (from_headroom > headroom_) return false;
-    holes_ -= from_holes;
-    headroom_ -= from_headroom;
-    account_admit(flow, bytes, now);
-    check_pools(flow, now);
-    return true;
-  }
-  // Above threshold: holes only, and the flow's excess occupancy after
-  // admission may not exceed the holes that remain.
-  if (bytes > holes_) return false;
-  const std::int64_t excess_after = q + bytes - t;
-  const std::int64_t holes_after = holes_ - bytes;
-  if (excess_after > holes_after) return false;
-  holes_ -= bytes;
+bool BufferSharingManager::may_borrow(FlowId flow) const {
+  assert(flow >= 0 && static_cast<std::size_t>(flow) < may_borrow_.size());
+  return may_borrow_[static_cast<std::size_t>(flow)];
+}
+
+BUFQ_HOT bool BufferSharingManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
+  if (!pools_.admit(occupancy(flow), threshold(flow), bytes, may_borrow(flow))) return false;
   account_admit(flow, bytes, now);
   check_pools(flow, now);
   return true;
 }
 
-void BufferSharingManager::release(FlowId flow, std::int64_t bytes, Time now) {
+BUFQ_HOT void BufferSharingManager::release(FlowId flow, std::int64_t bytes, Time now) {
   account_release(flow, bytes, now);
-  // Freed space replenishes the headroom first (up to its cap), and only
-  // the overflow becomes holes again — the paper's departure pseudocode.
-  headroom_ += bytes;
-  const std::int64_t cap = std::min(max_headroom_.count(), capacity().count());
-  holes_ += std::max(headroom_ - cap, static_cast<std::int64_t>(0));
-  headroom_ = std::min(headroom_, cap);
+  pools_.release(bytes);
   check_pools(flow, now);
 }
 
-/// Section 3.3 pool discipline: both pools stay within bounds and, with
-/// the current occupancy, exactly tile the buffer.  Doubles as the
-/// post-update point where the pool gauges are published.
 void BufferSharingManager::check_pools(FlowId flow, Time now) const {
-  holes_metric_.set(holes_);
-  headroom_metric_.set(headroom_);
-  BUFQ_CHECK(holes_ >= 0, check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_), 0.0, "sharing holes went negative");
-  BUFQ_CHECK(headroom_ >= 0 && headroom_ <= max_headroom_.count(),
-             check::Invariant::kSharingPools, flow, now, static_cast<double>(headroom_),
-             static_cast<double>(max_headroom_.count()),
-             "sharing headroom outside [0, H]");
-  BUFQ_CHECK(holes_ + headroom_ + total_occupancy() == capacity().count(),
-             check::Invariant::kSharingPools, flow, now,
-             static_cast<double>(holes_ + headroom_ + total_occupancy()),
-             static_cast<double>(capacity().count()),
-             "holes + headroom + occupancy no longer tile the buffer");
-  static_cast<void>(flow);
-  static_cast<void>(now);
+  holes_metric_.set(pools_.holes);
+  headroom_metric_.set(pools_.headroom);
+  pools_.check_pools(flow, now, total_occupancy(), capacity().count());
+  // Only flows that may borrow can sit above their threshold.
+  if (!may_borrow(flow)) {
+    BUFQ_CHECK(occupancy(flow) <= threshold(flow), check::Invariant::kFlowBound, flow, now,
+               static_cast<double>(occupancy(flow)), static_cast<double>(threshold(flow)),
+               "non-adaptive flow sits above its threshold");
+  }
 }
 
-
 void BufferSharingManager::save_extra(CheckpointWriter& w) const {
-  w.write_i64(holes_);
-  w.write_i64(headroom_);
+  w.write_i64(pools_.holes);
+  w.write_i64(pools_.headroom);
 }
 
 void BufferSharingManager::restore_extra(CheckpointReader& r) {
-  holes_ = r.read_i64();
-  headroom_ = r.read_i64();
+  pools_.holes = r.read_i64();
+  pools_.headroom = r.read_i64();
 }
 
 }  // namespace bufq

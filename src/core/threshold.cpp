@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "check/invariants.h"
+#include "core/admit_policy.h"
 #include "util/annotations.h"
 
 namespace bufq {
@@ -16,9 +17,8 @@ std::vector<std::int64_t> compute_thresholds(const std::vector<FlowSpec>& flows,
   thresholds.reserve(flows.size());
   const double buffer_bytes = static_cast<double>(buffer.count());
   for (const auto& flow : flows) {
-    const double share = flow.rho / link_rate;  // rho_i / R
-    const double t = static_cast<double>(flow.sigma.count()) + share * buffer_bytes;
-    thresholds.push_back(static_cast<std::int64_t>(std::llround(t)));
+    thresholds.push_back(
+        static_cast<std::int64_t>(std::llround(prop2_threshold(flow, buffer_bytes, link_rate))));
   }
   if (scaling == ThresholdScaling::kScaleToFill) {
     const std::int64_t sum = std::accumulate(thresholds.begin(), thresholds.end(),
@@ -47,8 +47,10 @@ std::int64_t ThresholdManager::threshold(FlowId flow) const {
 }
 
 BUFQ_HOT bool ThresholdManager::try_admit(FlowId flow, std::int64_t bytes, Time now) {
-  if (total_occupancy() + bytes > capacity().count()) return false;
-  if (occupancy(flow) + bytes > threshold(flow)) return false;
+  if (!threshold_admits(occupancy(flow), threshold(flow), total_occupancy(), capacity().count(),
+                        bytes)) {
+    return false;
+  }
   account_admit(flow, bytes, now);
   BUFQ_CHECK(occupancy(flow) <= threshold(flow), check::Invariant::kFlowBound, flow, now,
              static_cast<double>(occupancy(flow)), static_cast<double>(threshold(flow)),

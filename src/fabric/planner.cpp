@@ -10,7 +10,9 @@
 namespace bufq::fabric {
 namespace {
 
-/// Proposition 2 threshold for an arrival envelope at a (B, R) hop.
+/// Proposition 2 threshold for an arrival envelope at a (B, R) hop.  Not
+/// prop2_threshold(): this spelling rounds to a different integer for some
+/// envelopes, so switching would move planned thresholds by a byte.
 std::int64_t hop_threshold(const FlowSpec& arrival, const LinkParams& params) {
   const double burst = static_cast<double>(arrival.sigma.count());
   const double drain_s = static_cast<double>(params.buffer.count()) * 8.0 / params.rate.bps();

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/admit_policy.h"
 #include "core/sharing.h"
 #include "core/threshold.h"
 
@@ -59,8 +60,8 @@ std::vector<std::int64_t> HybridBuilder::queue_thresholds(std::size_t queue) con
   const Rate ri = queue_rates_[queue];
   for (FlowId f : groups_[queue]) {
     const auto& spec = specs_[static_cast<std::size_t>(f)];
-    const double t = static_cast<double>(spec.sigma.count()) + (spec.rho / ri) * bi;
-    thresholds[static_cast<std::size_t>(f)] = static_cast<std::int64_t>(std::llround(t));
+    thresholds[static_cast<std::size_t>(f)] =
+        static_cast<std::int64_t>(std::llround(prop2_threshold(spec, bi, ri)));
   }
   return thresholds;
 }

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/buffer_manager.h"
-#include "core/selective_sharing.h"
+#include "core/sharing.h"
 #include "sched/fifo.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
@@ -116,7 +116,7 @@ TEST(AimdSourceTest, AdaptiveClassBeatsBlockedClassUnderSelectiveSharing) {
   // adaptive one may grow into the holes; the blocked one saturates at
   // its reservation-sized share and keeps getting loss signals.
   Simulator sim;
-  SelectiveSharingManager mgr{
+  BufferSharingManager mgr{
       ByteSize::kilobytes(100.0),
       std::vector<std::int64_t>{10'000, 10'000},
       {SharingClass::kAdaptive, SharingClass::kBlocked},

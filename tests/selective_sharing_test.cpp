@@ -1,4 +1,4 @@
-#include "core/selective_sharing.h"
+#include "core/sharing.h"
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,8 @@ constexpr Time kNow = Time::zero();
 
 /// 10 KB buffer; flows 0 (adaptive), 1 (blocked), 2 (reserved); 2 KB
 /// thresholds each; 1 KB headroom.
-SelectiveSharingManager make_manager() {
-  return SelectiveSharingManager{
+BufferSharingManager make_manager() {
+  return BufferSharingManager{
       ByteSize::bytes(10'000),
       std::vector<std::int64_t>{2'000, 2'000, 2'000},
       {SharingClass::kAdaptive, SharingClass::kBlocked, SharingClass::kReserved},
@@ -80,10 +80,10 @@ TEST(SelectiveSharingTest, AdaptiveExcessLimitedByFairnessRule) {
 TEST(SelectiveSharingTest, DepartureRefillsHeadroomFirst) {
   auto mgr = make_manager();
   // Drain the headroom via a below-threshold admit when holes are gone.
-  SelectiveSharingManager tight{ByteSize::bytes(3'000),
-                                std::vector<std::int64_t>{3'000},
-                                {SharingClass::kReserved},
-                                ByteSize::bytes(2'000)};
+  BufferSharingManager tight{ByteSize::bytes(3'000),
+                             std::vector<std::int64_t>{3'000},
+                             {SharingClass::kReserved},
+                             ByteSize::bytes(2'000)};
   ASSERT_TRUE(tight.try_admit(0, 2'000, kNow));  // holes 1000 -> 0, headroom -1000 -> 1000
   EXPECT_EQ(tight.headroom(), 1'000);
   tight.release(0, 1'500, kNow);
@@ -108,9 +108,10 @@ TEST(SelectiveSharingTest, InvariantAcrossChurn) {
 
 TEST(SelectiveSharingTest, ClassAccessors) {
   auto mgr = make_manager();
-  EXPECT_EQ(mgr.sharing_class(0), SharingClass::kAdaptive);
-  EXPECT_EQ(mgr.sharing_class(1), SharingClass::kBlocked);
-  EXPECT_EQ(mgr.sharing_class(2), SharingClass::kReserved);
+  // Only the adaptive class may borrow; blocked and reserved share a bit.
+  EXPECT_TRUE(mgr.may_borrow(0));
+  EXPECT_FALSE(mgr.may_borrow(1));
+  EXPECT_FALSE(mgr.may_borrow(2));
   EXPECT_EQ(mgr.threshold(0), 2'000);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "admission/dynamic_manager.h"
+#include "admission/flow_table.h"
+
 namespace bufq {
 namespace {
 
@@ -161,6 +166,20 @@ TEST(BufferSharingTest, ZeroHeadroomDegeneratesToPureSharing) {
   mgr.release(0, 1'000, kNow);
   EXPECT_EQ(mgr.headroom(), 0);
   EXPECT_EQ(mgr.holes(), 5'000);
+}
+
+TEST(BufferSharingTest, NegativeHeadroomIsRejected) {
+  // A negative H would make every below-threshold packet overdraw the
+  // headroom: a silent 100% loss run.
+  const auto negative = ByteSize::bytes(-1'000);
+  EXPECT_THROW((BufferSharingManager{ByteSize::bytes(5'000),
+                                     std::vector<std::int64_t>{1'000}, negative}),
+               std::invalid_argument);
+  admission::FlowTable table{1};
+  EXPECT_THROW((admission::DynamicBufferManager{ByteSize::bytes(5'000), table,
+                                                admission::DynamicBufferManager::Policy::kSharing,
+                                                negative}),
+               std::invalid_argument);
 }
 
 }  // namespace

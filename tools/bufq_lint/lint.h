@@ -6,10 +6,7 @@
 // compdb names the .cpp files actually built; headers are discovered by
 // walking the tree) and falls back to a full tree walk otherwise, so a
 // missing build directory can never silently skip the check.  The
-// analysis itself runs on the tokenizer engine in rules.cpp; an
-// optional libclang cross-check (libclang_check.py) re-derives the
-// determinism findings from a real AST when clang bindings are
-// installed.
+// analysis itself runs on the tokenizer engine in rules.cpp.
 //
 // Rules (ids are what BUFQ_LINT_SUPPRESS takes):
 //

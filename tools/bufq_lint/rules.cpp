@@ -2,8 +2,7 @@
 // flat token stream from lexer.h: the rules match token shapes (never
 // text inside comments or string literals), which is precise enough for
 // this codebase's conventions and keeps the tool dependency-free.  The
-// known imprecisions are documented per rule; the libclang cross-check
-// re-derives the determinism findings from a real AST when available.
+// known imprecisions are documented per rule.
 #include <algorithm>
 #include <cstddef>
 #include <set>
