@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "common.h"
-#include "core/dynamic_threshold.h"
-#include "core/red.h"
-#include "core/sharing.h"
+#include "core/scheme.h"
 #include "core/threshold.h"
 #include "sched/fifo.h"
 #include "sim/link.h"
@@ -34,45 +32,28 @@ constexpr std::size_t kBlasters = 2;
 constexpr std::size_t kFlows = kAdaptive + kBlasters;
 constexpr std::int64_t kPkt = 500;
 
-std::unique_ptr<BufferManager> make_manager(const std::string& name, ByteSize buffer,
-                                            Rate link, std::uint64_t seed) {
-  const std::vector<FlowSpec> specs{
-      {Rate::megabits_per_second(4.0), ByteSize::kilobytes(20.0)},
-      {Rate::megabits_per_second(4.0), ByteSize::kilobytes(20.0)},
-      {Rate::megabits_per_second(4.0), ByteSize::kilobytes(20.0)},
-      {Rate::megabits_per_second(4.0), ByteSize::kilobytes(20.0)},
-      {Rate::megabits_per_second(2.0), ByteSize::kilobytes(20.0)},
-      {Rate::megabits_per_second(2.0), ByteSize::kilobytes(20.0)},
-  };
-  if (name == "tail-drop") return std::make_unique<TailDropManager>(buffer, kFlows);
-  if (name == "red") {
-    return std::make_unique<RedManager>(
-        buffer, kFlows,
-        RedParams{.weight = 0.002,
-                  .min_threshold = buffer.count() / 4,
-                  .max_threshold = buffer.count() * 3 / 4,
-                  .max_p = 0.1},
-        Rng{seed});
-  }
-  if (name == "thresholds") {
-    return std::make_unique<ThresholdManager>(buffer, link, specs);
-  }
-  if (name == "sharing") {
-    return std::make_unique<BufferSharingManager>(buffer, link, specs,
-                                                  ByteSize::kilobytes(100.0));
-  }
+std::unique_ptr<BufferManager> build_manager(ManagerKind kind, ByteSize buffer, Rate link,
+                                             std::uint64_t seed) {
+  // Adaptive flows reserve 4 Mb/s each, blasters 2 Mb/s.
+  std::vector<FlowSpec> specs(kFlows, {Rate::megabits_per_second(4.0), ByteSize::kilobytes(20.0)});
+  specs[4].rho = specs[5].rho = Rate::megabits_per_second(2.0);
+  SchemeConfig scheme{.manager = kind, .headroom = ByteSize::kilobytes(100.0)};
   // selective: adaptive flows may borrow, blasters may not.
-  std::vector<SharingClass> classes(kFlows, SharingClass::kAdaptive);
-  classes[4] = classes[5] = SharingClass::kBlocked;
-  return std::make_unique<BufferSharingManager>(buffer, link, specs, classes,
-                                                ByteSize::kilobytes(100.0));
+  scheme.sharing_classes.assign(kFlows, SharingClass::kAdaptive);
+  scheme.sharing_classes[4] = scheme.sharing_classes[5] = SharingClass::kBlocked;
+  return make_manager(scheme, buffer,
+                      compute_thresholds(specs, buffer, link,
+                                         kind == ManagerKind::kThreshold
+                                             ? ThresholdScaling::kScaleToFill
+                                             : ThresholdScaling::kExact),
+                      seed);
 }
 
-std::map<std::string, double> run_once(const std::string& manager_name, ByteSize buffer,
+std::map<std::string, double> run_once(ManagerKind kind, ByteSize buffer,
                                        const BenchOptions& options, std::uint64_t seed) {
   const Rate link_rate = paper_link_rate();
   Simulator sim;
-  auto manager = make_manager(manager_name, buffer, link_rate, seed ^ 0xA1Dull);
+  auto manager = build_manager(kind, buffer, link_rate, seed ^ 0xA1Dull);
   FifoScheduler fifo{*manager};
   Link link{sim, fifo, link_rate};
 
@@ -142,13 +123,16 @@ int main(int argc, char** argv) {
   CsvWriter csv{std::cout, {"buffer_mb", "manager", "adaptive_mbps", "blaster_mbps",
                             "adaptive_dropped_kb"}};
   for (double buffer_mb : options.buffers_mb) {
-    for (const char* manager :
-         {"tail-drop", "red", "thresholds", "sharing", "selective"}) {
+    for (const auto& [label, kind] :
+         {std::pair{"tail-drop", ManagerKind::kNone}, std::pair{"red", ManagerKind::kRed},
+          std::pair{"thresholds", ManagerKind::kThreshold},
+          std::pair{"sharing", ManagerKind::kSharing},
+          std::pair{"selective", ManagerKind::kSelectiveSharing}}) {
       ReplicationRunner runner{options.base_seed, options.seeds};
       const auto metrics = runner.run([&](std::uint64_t seed) {
-        return run_once(manager, ByteSize::megabytes(buffer_mb), options, seed);
+        return run_once(kind, ByteSize::megabytes(buffer_mb), options, seed);
       });
-      csv.row({format_double(buffer_mb), manager,
+      csv.row({format_double(buffer_mb), label,
                format_double(metrics.at("adaptive_mbps").mean),
                format_double(metrics.at("blaster_mbps").mean),
                format_double(metrics.at("adaptive_dropped_kb").mean)});

@@ -30,6 +30,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "admission/admission_controller.h"
@@ -250,15 +251,6 @@ int run_million_flow(const std::string& metrics_out) {
   return 0;
 }
 
-const char* scheme_name(ChurnScheme scheme) {
-  switch (scheme) {
-    case ChurnScheme::kFifoThreshold: return "fifo+thresholds";
-    case ChurnScheme::kFifoSharing: return "fifo+sharing";
-    case ChurnScheme::kWfq: return "wfq";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -296,8 +288,10 @@ int main(int argc, char** argv) {
   CsvWriter churn{std::cout,
                   {"scheme", "blocking", "utilization", "mean_active",
                    "conformant_drops", "nonconformant_drops"}};
-  for (ChurnScheme scheme :
-       {ChurnScheme::kFifoThreshold, ChurnScheme::kFifoSharing, ChurnScheme::kWfq}) {
+  for (const auto& [name, scheme] :
+       {std::pair{"fifo+thresholds", admission::Scheme::kFifoThreshold},
+        std::pair{"fifo+sharing", admission::Scheme::kFifoSharing},
+        std::pair{"wfq", admission::Scheme::kWfq}}) {
     ChurnConfig config{
         .link_rate = Rate::megabits_per_second(48.0),
         .buffer = ByteSize::megabytes(1.0),
@@ -317,7 +311,7 @@ int main(int argc, char** argv) {
         .seed = 7,
     };
     const ChurnResult r = run_churn_experiment(config);
-    churn.row({scheme_name(scheme), format_double(r.blocking_probability),
+    churn.row({name, format_double(r.blocking_probability),
                format_double(r.utilization), format_double(r.mean_active_flows),
                std::to_string(r.counters.conformant_drops),
                std::to_string(r.counters.nonconformant_drops)});

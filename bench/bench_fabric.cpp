@@ -49,11 +49,6 @@ struct Shape {
   int size;
 };
 
-struct Scheme {
-  const char* name;
-  FabricManager manager;
-};
-
 std::vector<double> parse_loads(const std::string& csv) {
   std::vector<double> loads;
   std::stringstream stream{csv};
@@ -75,7 +70,7 @@ double measure_leaf_spine_events_per_sec(Time warmup, Time duration, std::uint64
   FabricConfig config;
   config.topology = FabricTopologyKind::kLeafSpine;
   config.size = 8;
-  config.scheme.manager = FabricManager::kThreshold;
+  config.scheme.manager = ManagerKind::kThreshold;
   config.load = 1.0;
   config.warmup = warmup;
   config.duration = duration;
@@ -115,30 +110,30 @@ int main(int argc, char** argv) {
       {FabricTopologyKind::kFatTree, 4},
       {FabricTopologyKind::kWanRing, 8},
   };
-  const std::vector<Scheme> schemes = {
-      {"taildrop", FabricManager::kTailDrop},
-      {"threshold", FabricManager::kThreshold},
-      {"sharing", FabricManager::kSharing},
+  const std::pair<const char*, ManagerKind> schemes[] = {
+      {"taildrop", ManagerKind::kNone},
+      {"threshold", ManagerKind::kThreshold},
+      {"sharing", ManagerKind::kSharing},
   };
 
   std::vector<SweepCase> cases;
   for (const Shape& shape : shapes) {
-    for (const Scheme& scheme : schemes) {
+    for (const auto& [scheme_name, manager] : schemes) {
       for (double load : loads) {
         FabricConfig config;
         config.topology = shape.kind;
         config.size = shape.size;
-        config.scheme.manager = scheme.manager;
+        config.scheme.manager = manager;
         config.load = load;
         config.warmup = warmup;
         config.duration = duration;
         config.shards = shards;
-        const std::string label = std::string{to_string(shape.kind)} + "/" + scheme.name +
+        const std::string label = std::string{to_string(shape.kind)} + "/" + scheme_name +
                                   "/load=" + format_load(load);
         cases.push_back(fabric_sweep_case(label,
                                           {{"topology", to_string(shape.kind)},
                                            {"size", std::to_string(shape.size)},
-                                           {"manager", scheme.name},
+                                           {"manager", scheme_name},
                                            {"load", format_load(load)}},
                                           config));
       }

@@ -25,11 +25,11 @@ int main(int argc, char** argv) {
 
   Flags flags{argc, argv};
   const std::string scheme_name = flags.get_string("scheme", "fifo");
-  ChurnScheme scheme = ChurnScheme::kFifoThreshold;
+  auto scheme = admission::Scheme::kFifoThreshold;
   if (scheme_name == "sharing") {
-    scheme = ChurnScheme::kFifoSharing;
+    scheme = admission::Scheme::kFifoSharing;
   } else if (scheme_name == "wfq") {
-    scheme = ChurnScheme::kWfq;
+    scheme = admission::Scheme::kWfq;
   } else if (scheme_name != "fifo") {
     std::fprintf(stderr, "unknown --scheme=%s (fifo|sharing|wfq)\n", scheme_name.c_str());
     return 2;

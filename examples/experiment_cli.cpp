@@ -39,24 +39,6 @@ namespace {
 
 using namespace bufq;
 
-SchedulerKind parse_scheduler(const std::string& name) {
-  if (name == "fifo") return SchedulerKind::kFifo;
-  if (name == "wfq") return SchedulerKind::kWfq;
-  if (name == "hybrid") return SchedulerKind::kHybrid;
-  throw std::invalid_argument("unknown --scheduler '" + name + "'");
-}
-
-ManagerKind parse_manager(const std::string& name) {
-  if (name == "none") return ManagerKind::kNone;
-  if (name == "threshold") return ManagerKind::kThreshold;
-  if (name == "sharing") return ManagerKind::kSharing;
-  if (name == "selective") return ManagerKind::kSelectiveSharing;
-  if (name == "dt") return ManagerKind::kDynamicThreshold;
-  if (name == "red") return ManagerKind::kRed;
-  if (name == "fred") return ManagerKind::kFred;
-  throw std::invalid_argument("unknown --manager '" + name + "'");
-}
-
 // Built via += rather than operator+ chains to sidestep a GCC 12
 // -Wrestrict false positive (gcc bug 105651).
 std::string flow_key(std::size_t f, const char* suffix) {

@@ -7,8 +7,8 @@
 // Flags:
 //   --topology   parking_lot | leaf_spine | fat_tree | wan_ring
 //   --size       hops / leaves / k / routers (shape-dependent)
-//   --scheduler  fifo | wfq
-//   --manager    taildrop | threshold | sharing | dt
+//   --scheduler  fifo | wfq  (any other name, hybrid included, exits 2)
+//   --manager    none | threshold | sharing | dt  (none was "taildrop")
 //   --load       cross-traffic intensity (fraction of link rate)
 //   --premium_mbps  declared token rate of the guaranteed flow
 //   --link_mbps / --buffer_kb / --prop_ms   uniform link parameters
@@ -44,15 +44,6 @@ bufq::fabric::FabricTopologyKind parse_topology(const std::string& name) {
   throw std::invalid_argument("unknown --topology: " + name);
 }
 
-bufq::fabric::FabricManager parse_manager(const std::string& name) {
-  using bufq::fabric::FabricManager;
-  if (name == "taildrop") return FabricManager::kTailDrop;
-  if (name == "threshold") return FabricManager::kThreshold;
-  if (name == "sharing") return FabricManager::kSharing;
-  if (name == "dt") return FabricManager::kDynamicThreshold;
-  throw std::invalid_argument("unknown --manager: " + name);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -63,9 +54,7 @@ int main(int argc, char** argv) try {
   FabricConfig config;
   config.topology = parse_topology(flags.get_string("topology", "parking_lot"));
   config.size = static_cast<int>(flags.get_int("size", 5));
-  config.scheme.scheduler = flags.get_string("scheduler", "fifo") == "wfq"
-                                ? FabricScheduler::kWfq
-                                : FabricScheduler::kFifo;
+  config.scheme.scheduler = parse_scheduler(flags.get_string("scheduler", "fifo"));
   config.scheme.manager = parse_manager(flags.get_string("manager", "threshold"));
   config.load = flags.get_double("load", 1.0);
   config.premium_rate = Rate::megabits_per_second(flags.get_double("premium_mbps", 6.0));

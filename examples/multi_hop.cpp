@@ -24,8 +24,8 @@ int main() {
   config.load = 2.0;  // each hop's greedy adversary offers 2x the link rate
   config.warmup = Time::seconds(2);
   config.duration = Time::seconds(20);
-  config.scheme.scheduler = FabricScheduler::kFifo;
-  config.scheme.manager = FabricManager::kThreshold;
+  config.scheme.scheduler = SchedulerKind::kFifo;
+  config.scheme.manager = ManagerKind::kThreshold;
 
   const FabricScenario scenario = build_fabric_scenario(config);
   std::printf("3-hop parking lot, 48 Mb/s links, 500 KB buffer per hop, "

@@ -73,6 +73,11 @@ struct SharingPools {
       : holes{capacity - std::min(max_headroom, capacity)},
         headroom{std::min(max_headroom, capacity)},
         cap{headroom} {
+    require_headroom(max_headroom);
+  }
+
+  /// Throws std::invalid_argument, naming H, when H < 0.
+  static void require_headroom(std::int64_t max_headroom) {
     if (max_headroom < 0) {
       throw std::invalid_argument("sharing headroom must be >= 0 bytes, got " +
                                   std::to_string(max_headroom));

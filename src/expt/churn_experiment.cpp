@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "admission/dynamic_manager.h"
 #include "admission/flow_table.h"
-#include "sched/fifo.h"
+#include "core/scheme.h"
 #include "sched/wfq.h"
 #include "sim/inline_action.h"
 #include "sim/link.h"
@@ -15,35 +16,26 @@
 
 namespace bufq {
 
-namespace {
-
-admission::Scheme admission_scheme(ChurnScheme scheme) {
-  switch (scheme) {
-    case ChurnScheme::kFifoThreshold:
-      return admission::Scheme::kFifoThreshold;
-    case ChurnScheme::kFifoSharing:
-      return admission::Scheme::kFifoSharing;
-    case ChurnScheme::kWfq:
-      return admission::Scheme::kWfq;
-  }
-  return admission::Scheme::kFifoThreshold;
-}
-
-}  // namespace
-
 ChurnResult run_churn_experiment(const ChurnConfig& config) {
+  using admission::Scheme;
+  if (config.scheme == Scheme::kHybrid) {
+    throw std::invalid_argument(
+        "churn runs fifo+thresholds, fifo+sharing or wfq, not the hybrid scheme");
+  }
   assert(!config.churn.mix.empty());
   assert(config.duration > Time::zero());
   assert(config.max_flows > 0);
 
+  const bool sharing = config.scheme == Scheme::kFifoSharing;
+  const ByteSize headroom = sharing ? config.headroom : ByteSize::zero();
+
   Simulator sim;
   admission::FlowTable table{config.max_flows};
   admission::AdmissionController controller{{
-      .scheme = admission_scheme(config.scheme),
+      .scheme = config.scheme,
       .link_rate = config.link_rate,
       .buffer = config.buffer,
-      .headroom = config.scheme == ChurnScheme::kFifoSharing ? config.headroom
-                                                             : ByteSize::zero(),
+      .headroom = headroom,
   }};
 
   // Per-packet manager: WFQ gets sigma-sized private allocations (its
@@ -51,22 +43,16 @@ ChurnResult run_churn_experiment(const ChurnConfig& config) {
   // get Prop-2 thresholds with or without the sharing pools.
   admission::DynamicBufferManager manager{
       config.buffer, table,
-      config.scheme == ChurnScheme::kFifoSharing
-          ? admission::DynamicBufferManager::Policy::kSharing
-          : admission::DynamicBufferManager::Policy::kThreshold,
-      config.scheme == ChurnScheme::kFifoSharing ? config.headroom : ByteSize::zero()};
+      sharing ? admission::DynamicBufferManager::Policy::kSharing
+              : admission::DynamicBufferManager::Policy::kThreshold,
+      headroom};
 
-  std::unique_ptr<QueueDiscipline> discipline;
-  WfqScheduler* wfq = nullptr;
-  if (config.scheme == ChurnScheme::kWfq) {
-    // One class per table slot; weights are rebound as slots are recycled.
-    auto sched = std::make_unique<WfqScheduler>(manager, config.link_rate,
-                                                std::vector<double>(config.max_flows, 1.0));
-    wfq = sched.get();
-    discipline = std::move(sched);
-  } else {
-    discipline = std::make_unique<FifoScheduler>(manager);
-  }
+  // WFQ gets one class per table slot; weights are rebound as slots are
+  // recycled.
+  const std::unique_ptr<QueueDiscipline> discipline =
+      make_discipline(config.scheme == Scheme::kWfq ? SchedulerKind::kWfq : SchedulerKind::kFifo,
+                      manager, config.link_rate, std::vector<double>(config.max_flows, 1.0));
+  auto* const wfq = dynamic_cast<WfqScheduler*>(discipline.get());
 
   Link link{sim, *discipline, config.link_rate};
   StatsCollector stats{config.max_flows};

@@ -14,19 +14,13 @@
 
 namespace bufq {
 
-/// End-to-end scheme under churn: scheduler + per-packet manager + the
-/// admission test gating arrivals.
-enum class ChurnScheme {
-  kFifoThreshold,  ///< FIFO, Prop-2 thresholds, eq. 10 admission
-  kFifoSharing,    ///< FIFO, holes/headroom sharing, eq. 10 vs B - H
-  kWfq,            ///< per-flow WFQ, sigma-sized allocations, eq. 6
-};
-
 struct ChurnConfig {
   Rate link_rate;
   ByteSize buffer;
-  ChurnScheme scheme{ChurnScheme::kFifoThreshold};
-  /// Headroom H for ChurnScheme::kFifoSharing.
+  /// The admission test, which also picks the scheduler and manager: FIFO
+  /// + thresholds, FIFO + sharing, or per-flow WFQ.  kHybrid is rejected.
+  admission::Scheme scheme{admission::Scheme::kFifoThreshold};
+  /// Headroom H for admission::Scheme::kFifoSharing.
   ByteSize headroom{ByteSize::kilobytes(100.0)};
   /// Concurrent-flow ceiling: FlowTable slots (and WFQ classes).
   std::size_t max_flows{1024};
@@ -52,7 +46,8 @@ struct ChurnResult {
   std::size_t active_at_end{0};
 };
 
-/// Runs one churn experiment to completion.
+/// Runs one churn experiment to completion.  Throws std::invalid_argument
+/// for admission::Scheme::kHybrid.
 [[nodiscard]] ChurnResult run_churn_experiment(const ChurnConfig& config);
 
 }  // namespace bufq

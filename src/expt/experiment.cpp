@@ -10,13 +10,8 @@
 #include "check/invariants.h"
 #include "obs/export.h"
 #include "core/buffer_manager.h"
-#include "core/dynamic_threshold.h"
-#include "core/red.h"
-#include "core/sharing.h"
 #include "core/threshold.h"
-#include "sched/fifo.h"
 #include "sched/hybrid.h"
-#include "sched/wfq.h"
 #include "sim/checkpoint.h"
 #include "sim/inline_action.h"
 #include "sim/link.h"
@@ -84,94 +79,46 @@ Pipeline build_pipeline(const ExperimentConfig& config) {
     }
     HybridBuilder builder{config.link_rate, config.buffer, specs, config.scheme.groups};
     std::unique_ptr<CompositeBufferManager> manager;
-    switch (config.scheme.manager) {
-      case ManagerKind::kThreshold:
-        manager = builder.make_threshold_manager();
-        break;
-      case ManagerKind::kSharing:
-        manager = builder.make_sharing_manager(config.scheme.headroom);
-        break;
-      case ManagerKind::kNone:
-      case ManagerKind::kSelectiveSharing:
-      case ManagerKind::kDynamicThreshold:
-      case ManagerKind::kRed:
-      case ManagerKind::kFred:
-        throw std::invalid_argument(
-            "hybrid scheme supports kThreshold or kSharing per-queue management");
+    if (config.scheme.manager == ManagerKind::kThreshold) {
+      manager = builder.make_threshold_manager();
+    } else if (config.scheme.manager == ManagerKind::kSharing) {
+      manager = builder.make_sharing_manager(config.scheme.headroom);
+    } else {
+      throw std::invalid_argument(
+          "hybrid scheme supports kThreshold or kSharing per-queue management");
     }
     p.discipline = builder.make_scheduler(*manager);
     p.manager = std::move(manager);
     return p;
   }
 
-  switch (config.scheme.manager) {
-    case ManagerKind::kNone:
-      p.manager = std::make_unique<TailDropManager>(config.buffer, n);
-      break;
-    case ManagerKind::kThreshold:
-      p.manager = std::make_unique<ThresholdManager>(config.buffer, config.link_rate, specs);
-      break;
-    case ManagerKind::kSharing:
-      p.manager = std::make_unique<BufferSharingManager>(config.buffer, config.link_rate, specs,
-                                                         config.scheme.headroom);
-      break;
-    case ManagerKind::kSelectiveSharing: {
-      auto classes = config.scheme.sharing_classes;
-      if (classes.empty()) {
-        // Default policy: conformant (regulated) flows may adapt into the
-        // excess space; unregulated ones are held to their reservation.
-        classes.reserve(n);
-        for (const auto& f : config.flows) {
-          classes.push_back(f.regulated ? SharingClass::kAdaptive : SharingClass::kBlocked);
-        }
-      }
-      p.manager = std::make_unique<BufferSharingManager>(config.buffer, config.link_rate, specs,
-                                                         classes, config.scheme.headroom);
-      break;
-    }
-    case ManagerKind::kDynamicThreshold:
-      p.manager = std::make_unique<DynamicThresholdManager>(config.buffer, n,
-                                                            config.scheme.dt_alpha);
-      break;
-    case ManagerKind::kRed: {
-      const auto b = static_cast<double>(config.buffer.count());
-      p.manager = std::make_unique<RedManager>(
-          config.buffer, n,
-          RedParams{.weight = 0.002,
-                    .min_threshold =
-                        static_cast<std::int64_t>(b * config.scheme.red_min_fraction),
-                    .max_threshold =
-                        static_cast<std::int64_t>(b * config.scheme.red_max_fraction),
-                    .max_p = config.scheme.red_max_p},
-          Rng{config.seed ^ 0x0ED0ull});
-      break;
-    }
-    case ManagerKind::kFred: {
-      const auto b = static_cast<double>(config.buffer.count());
-      p.manager = std::make_unique<FredManager>(
-          config.buffer, n,
-          FredParams{.red = RedParams{.weight = 0.002,
-                                      .min_threshold = static_cast<std::int64_t>(
-                                          b * config.scheme.red_min_fraction),
-                                      .max_threshold = static_cast<std::int64_t>(
-                                          b * config.scheme.red_max_fraction),
-                                      .max_p = config.scheme.red_max_p},
-                     .min_q = 2 * config.packet_bytes,
-                     .strike_limit = 1},
-          Rng{config.seed ^ 0xF4EDull});
-      break;
+  SchemeConfig scheme = config.scheme;
+  if (scheme.manager == ManagerKind::kSelectiveSharing && scheme.sharing_classes.empty()) {
+    // Default policy: conformant (regulated) flows may adapt into the
+    // excess space; unregulated ones are held to their reservation.
+    scheme.sharing_classes.reserve(n);
+    for (const auto& f : config.flows) {
+      scheme.sharing_classes.push_back(f.regulated ? SharingClass::kAdaptive
+                                                   : SharingClass::kBlocked);
     }
   }
+  // Fixed partitioning scales its thresholds up to fill the buffer; the
+  // sharing managers keep the analytic ones, whose slack is the shared
+  // space.
+  auto thresholds = compute_thresholds(specs, config.buffer, config.link_rate,
+                                       scheme.manager == ManagerKind::kThreshold
+                                           ? ThresholdScaling::kScaleToFill
+                                           : ThresholdScaling::kExact);
+  // Per-kind salts keep the RED and FRED drop coins independent streams.
+  const std::uint64_t rng_seed =
+      config.seed ^ (scheme.manager == ManagerKind::kFred ? 0xF4EDull : 0x0ED0ull);
+  p.manager = make_manager(scheme, config.buffer, std::move(thresholds), rng_seed,
+                           config.packet_bytes);
 
-  if (config.scheme.scheduler == SchedulerKind::kFifo) {
-    p.discipline = std::make_unique<FifoScheduler>(*p.manager);
-  } else {
-    std::vector<double> weights;
-    weights.reserve(n);
-    for (const auto& s : specs) weights.push_back(s.rho.bps());
-    p.discipline =
-        std::make_unique<WfqScheduler>(*p.manager, config.link_rate, std::move(weights));
-  }
+  std::vector<double> weights;
+  weights.reserve(n);
+  for (const auto& s : specs) weights.push_back(s.rho.bps());
+  p.discipline = make_discipline(scheme.scheduler, *p.manager, config.link_rate, weights);
   return p;
 }
 

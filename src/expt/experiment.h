@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/flow_spec.h"
-#include "core/sharing.h"
+#include "core/scheme.h"
 #include "obs/metrics.h"
 #include "sim/packet.h"
 #include "traffic/sources.h"
@@ -20,40 +20,6 @@
 #include "util/units.h"
 
 namespace bufq {
-
-enum class SchedulerKind {
-  kFifo,    ///< single FIFO queue
-  kWfq,     ///< per-flow WFQ, weights = token rates
-  kHybrid,  ///< k FIFO queues under WFQ (Section 4)
-};
-
-enum class ManagerKind {
-  kNone,              ///< shared tail drop ("no buffer management")
-  kThreshold,         ///< fixed-partition thresholds (Section 3.2)
-  kSharing,           ///< buffer sharing with holes/headroom (Section 3.3)
-  kSelectiveSharing,  ///< Section 5 extension: per-flow sharing classes
-  kDynamicThreshold,  ///< Choudhury-Hahne DT (the paper's reference [1])
-  kRed,               ///< RED (reference [3]) — congestion signaling baseline
-  kFred,              ///< Flow RED (reference [5]) — per-flow RED baseline
-};
-
-struct SchemeConfig {
-  SchedulerKind scheduler{SchedulerKind::kFifo};
-  ManagerKind manager{ManagerKind::kThreshold};
-  /// Headroom H for the sharing managers (the paper's default is 2 MB).
-  ByteSize headroom{ByteSize::megabytes(2.0)};
-  /// Flow grouping for SchedulerKind::kHybrid; ignored otherwise.
-  std::vector<std::vector<FlowId>> groups;
-  /// Per-flow classes for kSelectiveSharing.  Empty = derive from the
-  /// profiles: regulated flows are adaptive, unregulated ones blocked.
-  std::vector<SharingClass> sharing_classes;
-  /// DT multiplier for kDynamicThreshold.
-  double dt_alpha{1.0};
-  /// RED/FRED EWMA thresholds as fractions of the buffer.
-  double red_min_fraction{0.25};
-  double red_max_fraction{0.75};
-  double red_max_p{0.1};
-};
 
 struct ExperimentConfig {
   Rate link_rate;

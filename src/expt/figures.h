@@ -24,12 +24,8 @@ struct SchemeVariant {
 inline SchemeConfig make_scheme(SchedulerKind scheduler, ManagerKind manager,
                                 ByteSize headroom = ByteSize::megabytes(2.0),
                                 std::vector<std::vector<FlowId>> groups = {}) {
-  SchemeConfig config;
-  config.scheduler = scheduler;
-  config.manager = manager;
-  config.headroom = headroom;
-  config.groups = std::move(groups);
-  return config;
+  return {.scheduler = scheduler, .manager = manager, .headroom = headroom,
+          .groups = std::move(groups)};
 }
 
 /// The scheme sets the figures compare.

@@ -6,55 +6,19 @@
 #include <cstdint>
 
 #include "check/invariants.h"
-#include "core/dynamic_threshold.h"
-#include "core/sharing.h"
-#include "core/threshold.h"
-#include "sched/fifo.h"
-#include "sched/wfq.h"
 #include "sim/checkpoint.h"
 #include "util/annotations.h"
 
 namespace bufq::fabric {
-namespace {
-
-std::unique_ptr<BufferManager> make_manager(const FabricScheme& scheme, const LinkParams& params,
-                                            std::vector<std::int64_t> thresholds) {
-  switch (scheme.manager) {
-    case FabricManager::kTailDrop:
-      return std::make_unique<TailDropManager>(params.buffer, thresholds.size());
-    case FabricManager::kThreshold:
-      return std::make_unique<ThresholdManager>(params.buffer, std::move(thresholds));
-    case FabricManager::kSharing:
-      return std::make_unique<BufferSharingManager>(params.buffer, std::move(thresholds),
-                                                    scheme.headroom);
-    case FabricManager::kDynamicThreshold:
-      return std::make_unique<DynamicThresholdManager>(params.buffer, thresholds.size(),
-                                                       scheme.dt_alpha);
-  }
-  return nullptr;  // unreachable
-}
-
-std::unique_ptr<QueueDiscipline> make_discipline(const FabricScheme& scheme,
-                                                 BufferManager& manager,
-                                                 const LinkParams& params,
-                                                 const std::vector<double>& weights) {
-  if (scheme.scheduler == FabricScheduler::kWfq) {
-    return std::make_unique<WfqScheduler>(manager, params.rate, weights);
-  }
-  return std::make_unique<FifoScheduler>(manager);
-}
-
-}  // namespace
 
 Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
                const ProvisionPlan& plan, const std::vector<FlowBinding>& bindings,
-               const FabricScheme& scheme, const FabricShardScope* scope)
+               const SchemeConfig& scheme, const FabricShardScope* scope)
     : sim_{sim},
       topo_{topo},
-      scheme_{scheme},
       stats_{plan.flows.size()},
       delays_{plan.flows.size()},
-      enforce_delay_bound_{scheme.scheduler == FabricScheduler::kFifo} {
+      enforce_delay_bound_{scheme.scheduler == SchedulerKind::kFifo} {
   static_cast<void>(routes);  // paths were pinned into `plan` already
   const std::size_t flow_count = plan.flows.size();
 
@@ -120,9 +84,8 @@ Fabric::Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
         downstream = scope->boundary(l);
         propagation = Time::zero();
       }
-      auto manager =
-          make_manager(scheme_, link.params, plan.thresholds_for(l, flow_count));
-      auto discipline = make_discipline(scheme_, *manager, link.params, weights);
+      auto manager = make_manager(scheme, link.params.buffer, plan.thresholds_for(l, flow_count));
+      auto discipline = make_discipline(scheme.scheduler, *manager, link.params.rate, weights);
       auto port = std::make_unique<OutputPort>(sim_, link.params.rate, propagation,
                                                std::move(manager), std::move(discipline),
                                                downstream);

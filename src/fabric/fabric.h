@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/scheme.h"
 #include "fabric/planner.h"
 #include "fabric/routing.h"
 #include "fabric/topology.h"
@@ -32,27 +33,8 @@
 
 namespace bufq::fabric {
 
-enum class FabricScheduler {
-  kFifo,  ///< the paper's scheme: FIFO + buffer management
-  kWfq,   ///< per-flow WFQ, weights = declared token rates
-};
-
-enum class FabricManager {
-  kTailDrop,          ///< shared tail drop (no management)
-  kThreshold,         ///< planner thresholds, fixed partition (Section 3.2)
-  kSharing,           ///< planner thresholds + holes/headroom (Section 3.3)
-  kDynamicThreshold,  ///< Choudhury-Hahne DT
-};
-
-/// The scheduler/manager pair every hop of the fabric runs.
-struct FabricScheme {
-  FabricScheduler scheduler{FabricScheduler::kFifo};
-  FabricManager manager{FabricManager::kThreshold};
-  /// Headroom H for kSharing.
-  ByteSize headroom{ByteSize::kilobytes(100.0)};
-  /// Alpha for kDynamicThreshold.
-  double dt_alpha{1.0};
-};
+/// The frozen benchmark spells the manager axis `fabric::FabricManager`.
+using FabricManager = ManagerKind;
 
 /// Restriction of a Fabric build to one shard of a partition (the
 /// parallel engine, fabric/parallel.h).  Nodes assigned to other shards
@@ -84,7 +66,7 @@ class Fabric {
   /// called for in-shard ids.
   Fabric(Simulator& sim, const Topology& topo, const RouteTable& routes,
          const ProvisionPlan& plan, const std::vector<FlowBinding>& bindings,
-         const FabricScheme& scheme, const FabricShardScope* scope = nullptr);
+         const SchemeConfig& scheme, const FabricShardScope* scope = nullptr);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -134,7 +116,6 @@ class Fabric {
 
   Simulator& sim_;
   const Topology& topo_;
-  FabricScheme scheme_;
   StatsCollector stats_;
   DelayRecorder delays_;
   Time measure_from_{Time::zero()};

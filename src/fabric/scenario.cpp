@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "check/invariants.h"
@@ -35,6 +36,18 @@ const char* to_string(FabricTopologyKind kind) {
 
 namespace {
 
+/// The fabric plans no hybrid grouping, selective classes or per-port RED
+/// coins, so every hop runs FIFO or WFQ over none, threshold, sharing or DT.
+void validate_fabric_scheme(const SchemeConfig& scheme) {
+  const ManagerKind m = scheme.manager;
+  if (scheme.scheduler == SchedulerKind::kHybrid || m == ManagerKind::kSelectiveSharing ||
+      m == ManagerKind::kRed || m == ManagerKind::kFred) {
+    throw std::invalid_argument(std::string{"the fabric runs fifo or wfq over none, threshold, "
+                                            "sharing or dt at every hop, not "} +
+                                to_string(scheme.scheduler) + "+" + to_string(m));
+  }
+}
+
 /// Host-pair cross traffic for the multi-path shapes: host i sends to the
 /// host "half the population away", a fixed derangement that forces most
 /// pairs through the fabric tier.
@@ -56,6 +69,7 @@ void bind_host_pairs(const std::vector<NodeId>& hosts, FabricScenario& sc) {
 }  // namespace
 
 FabricScenario build_fabric_scenario(const FabricConfig& config) {
+  validate_fabric_scheme(config.scheme);
   const LinkParams lp{config.link_rate, config.propagation, config.buffer};
   FabricScenario sc;
   const FlowSpec premium_spec{config.premium_rate,

@@ -43,7 +43,8 @@ struct FabricConfig {
   FabricTopologyKind topology{FabricTopologyKind::kParkingLot};
   /// Shape parameter, see FabricTopologyKind.
   int size{5};
-  FabricScheme scheme;
+  /// Every hop's scheme: fifo or wfq over none, threshold, sharing or dt.
+  SchemeConfig scheme{.headroom = ByteSize::kilobytes(100.0)};
   /// Uniform link parameters (every link of the shape).
   Rate link_rate{Rate::megabits_per_second(48.0)};
   ByteSize buffer{ByteSize::kilobytes(500.0)};
@@ -87,6 +88,7 @@ struct FabricScenario {
   std::vector<FlowId> cross;
 };
 
+/// Throws std::invalid_argument for a scheme the fabric cannot run.
 [[nodiscard]] FabricScenario build_fabric_scenario(const FabricConfig& config);
 
 /// Runs one fabric scenario to completion and packages the measured

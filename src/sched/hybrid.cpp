@@ -84,6 +84,8 @@ std::unique_ptr<CompositeBufferManager> HybridBuilder::make_threshold_manager() 
 
 std::unique_ptr<CompositeBufferManager> HybridBuilder::make_sharing_manager(
     ByteSize headroom) const {
+  // Validate H itself: each queue's pools only see their share of it.
+  SharingPools::require_headroom(headroom.count());
   std::vector<std::unique_ptr<BufferManager>> managers;
   managers.reserve(groups_.size());
   const double b_total = static_cast<double>(total_buffer_.count());

@@ -47,6 +47,7 @@ class HybridBuilder {
 
   /// Composite manager with buffer sharing per queue.  The global
   /// headroom H is split across queues in proportion to their buffers.
+  /// Throws std::invalid_argument, naming H, when H < 0.
   [[nodiscard]] std::unique_ptr<CompositeBufferManager> make_sharing_manager(
       ByteSize headroom) const;
 

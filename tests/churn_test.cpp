@@ -11,6 +11,8 @@
 namespace bufq {
 namespace {
 
+using admission::Scheme;
+
 TrafficProfile regulated_profile(double token_mbps, double bucket_kb) {
   return TrafficProfile{.peak_rate = Rate::megabits_per_second(8.0 * token_mbps),
                         .avg_rate = Rate::megabits_per_second(token_mbps),
@@ -20,7 +22,7 @@ TrafficProfile regulated_profile(double token_mbps, double bucket_kb) {
                         .regulated = true};
 }
 
-ChurnConfig base_config(ChurnScheme scheme, std::uint64_t seed) {
+ChurnConfig base_config(Scheme scheme, std::uint64_t seed) {
   return ChurnConfig{
       .link_rate = Rate::megabits_per_second(48.0),
       .buffer = ByteSize::megabytes(1.0),
@@ -43,7 +45,7 @@ TEST(ChurnTest, AdmittedConformantFlowsNeverDropUnderThresholds) {
   // offered load is ~2x what the buffer can cover, so the controller is
   // actively blocking while admitted flows keep their guarantee.
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-    const ChurnResult r = run_churn_experiment(base_config(ChurnScheme::kFifoThreshold, seed));
+    const ChurnResult r = run_churn_experiment(base_config(Scheme::kFifoThreshold, seed));
     EXPECT_GT(r.counters.admitted, 0u) << "seed " << seed;
     EXPECT_GT(r.counters.rejected_buffer, 0u) << "seed " << seed;
     EXPECT_EQ(r.counters.conformant_drops, 0u) << "seed " << seed;
@@ -52,7 +54,7 @@ TEST(ChurnTest, AdmittedConformantFlowsNeverDropUnderThresholds) {
 
 TEST(ChurnTest, AdmittedConformantFlowsNeverDropUnderSharing) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const ChurnResult r = run_churn_experiment(base_config(ChurnScheme::kFifoSharing, seed));
+    const ChurnResult r = run_churn_experiment(base_config(Scheme::kFifoSharing, seed));
     EXPECT_GT(r.counters.admitted, 0u) << "seed " << seed;
     EXPECT_EQ(r.counters.conformant_drops, 0u) << "seed " << seed;
   }
@@ -61,7 +63,7 @@ TEST(ChurnTest, AdmittedConformantFlowsNeverDropUnderSharing) {
 TEST(ChurnTest, OversubscriptionIsBlockedNotViolated) {
   // A buffer far too small for the offered load: the controller must
   // convert the overload into blocking, never into guarantee violations.
-  auto config = base_config(ChurnScheme::kFifoThreshold, 9);
+  auto config = base_config(Scheme::kFifoThreshold, 9);
   config.buffer = ByteSize::kilobytes(150.0);
   const ChurnResult r = run_churn_experiment(config);
   EXPECT_GT(r.blocking_probability, 0.5);
@@ -70,7 +72,7 @@ TEST(ChurnTest, OversubscriptionIsBlockedNotViolated) {
 }
 
 TEST(ChurnTest, CountersAreConserved) {
-  const ChurnResult r = run_churn_experiment(base_config(ChurnScheme::kFifoThreshold, 5));
+  const ChurnResult r = run_churn_experiment(base_config(Scheme::kFifoThreshold, 5));
   EXPECT_EQ(r.counters.arrivals, r.counters.admitted + r.counters.rejected());
   EXPECT_LE(r.counters.reaped, r.counters.departures);
   EXPECT_LE(r.counters.departures, r.counters.admitted);
@@ -79,8 +81,8 @@ TEST(ChurnTest, CountersAreConserved) {
 }
 
 TEST(ChurnTest, SameSeedIsBitIdentical) {
-  const ChurnResult a = run_churn_experiment(base_config(ChurnScheme::kFifoThreshold, 11));
-  const ChurnResult b = run_churn_experiment(base_config(ChurnScheme::kFifoThreshold, 11));
+  const ChurnResult a = run_churn_experiment(base_config(Scheme::kFifoThreshold, 11));
+  const ChurnResult b = run_churn_experiment(base_config(Scheme::kFifoThreshold, 11));
   EXPECT_EQ(a.counters.arrivals, b.counters.arrivals);
   EXPECT_EQ(a.counters.admitted, b.counters.admitted);
   EXPECT_EQ(a.counters.reaped, b.counters.reaped);
@@ -88,14 +90,14 @@ TEST(ChurnTest, SameSeedIsBitIdentical) {
   EXPECT_EQ(a.traffic.dropped_packets, b.traffic.dropped_packets);
   EXPECT_DOUBLE_EQ(a.mean_active_flows, b.mean_active_flows);
 
-  const ChurnResult c = run_churn_experiment(base_config(ChurnScheme::kFifoThreshold, 12));
+  const ChurnResult c = run_churn_experiment(base_config(Scheme::kFifoThreshold, 12));
   EXPECT_NE(a.counters.arrivals, c.counters.arrivals);
 }
 
 TEST(ChurnTest, WfqChurnAlsoHonorsItsAllocations) {
   // Under WFQ each admitted flow owns a sigma-sized allocation (eq. 6);
   // shaped flows must fit inside it under churn too.
-  const ChurnResult r = run_churn_experiment(base_config(ChurnScheme::kWfq, 3));
+  const ChurnResult r = run_churn_experiment(base_config(Scheme::kWfq, 3));
   EXPECT_GT(r.counters.admitted, 0u);
   EXPECT_EQ(r.counters.conformant_drops, 0u);
 }

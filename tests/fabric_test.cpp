@@ -180,8 +180,8 @@ TEST(FabricE2ETest, SaturatedParkingLotHonorsGuarantee) {
   config.topology = FabricTopologyKind::kParkingLot;
   config.size = 5;
   config.load = 2.0;
-  config.scheme.scheduler = FabricScheduler::kFifo;
-  config.scheme.manager = FabricManager::kThreshold;
+  config.scheme.scheduler = SchedulerKind::kFifo;
+  config.scheme.manager = ManagerKind::kThreshold;
   config.warmup = Time::seconds(1);
   config.duration = Time::seconds(8);
 
@@ -207,7 +207,7 @@ TEST(FabricE2ETest, TailDropStarvesThePremiumFlow) {
   config.topology = FabricTopologyKind::kParkingLot;
   config.size = 5;
   config.load = 2.0;
-  config.scheme.manager = FabricManager::kTailDrop;
+  config.scheme.manager = ManagerKind::kNone;
   config.warmup = Time::seconds(1);
   config.duration = Time::seconds(4);
 

@@ -5,7 +5,8 @@
 // any unintended change to a component's trajectory *or* its serialized
 // layout is caught and attributed to the section that moved.
 //
-// To regenerate after an intentional change:
+// To regenerate after an intentional change (once per check mode, e.g. in
+// a Release and a Debug build, since the `checker` digest is per mode):
 //   BUFQ_UPDATE_GOLDEN=1 ctest -R GoldenState
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "expt/experiment.h"
 #include "expt/workloads.h"
@@ -29,6 +31,18 @@ namespace {
 constexpr std::uint64_t kGoldenEvents = 30'000;
 
 using Digests = std::map<std::string, std::uint32_t>;
+
+// The `checker` section counts the checks a run made, so it is the one
+// digest that depends on whether BUFQ_CHECK sites are compiled in.  The
+// corpus pins it once per check mode, as `checker` (checks compiled out)
+// and `checker@checks-on`; every other section has one digest for both.
+#if defined(BUFQ_ENABLE_CHECKS)
+constexpr const char* kCheckerHere = "checker@checks-on";
+constexpr const char* kCheckerElsewhere = "checker";
+#else
+constexpr const char* kCheckerHere = "checker";
+constexpr const char* kCheckerElsewhere = "checker@checks-on";
+#endif
 
 std::string golden_path(const std::string& name) {
   return std::string{BUFQ_GOLDEN_DIR} + "/" + name + ".digest";
@@ -52,18 +66,26 @@ Digests parse(std::istream& in) {
   return digests;
 }
 
-void expect_matches_golden(const std::string& name, const Digests& derived) {
+void expect_matches_golden(const std::string& name, Digests derived) {
   const std::string path = golden_path(name);
+  if (auto checker = derived.extract("checker"); !checker.empty()) {
+    checker.key() = kCheckerHere;
+    derived.insert(std::move(checker));
+  }
+  Digests golden;
+  if (std::ifstream in{path}; in.good()) golden = parse(in);
+  // The other check mode's `checker` pin is carried along, not compared.
+  const auto elsewhere = golden.extract(kCheckerElsewhere);
   if (std::getenv("BUFQ_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out{path};
     ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << render(derived);
+    Digests pinned = derived;
+    if (!elsewhere.empty()) pinned.emplace(elsewhere.key(), elsewhere.mapped());
+    out << render(pinned);
     GTEST_SKIP() << "regenerated " << path;
   }
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — run with BUFQ_UPDATE_GOLDEN=1 to create it";
-  const Digests golden = parse(in);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << path
+                               << " — run with BUFQ_UPDATE_GOLDEN=1 to create it";
   EXPECT_EQ(derived.size(), golden.size()) << "section set changed for " << name;
   for (const auto& [section, crc] : golden) {
     const auto it = derived.find(section);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/sharing.h"
 #include "expt/experiment.h"
@@ -134,6 +136,18 @@ TEST(HybridBuilderTest, SingletonGroupsSupported) {
   EXPECT_EQ(b.queue_rates().size(), 9u);
   auto mgr = b.make_threshold_manager();
   EXPECT_EQ(mgr->queue_count(), 9u);
+}
+
+TEST(HybridBuilderTest, NegativeHeadroomErrorNamesTheConfiguredValue) {
+  // H is validated before it is split, so the message carries H itself,
+  // not one queue's share of it.
+  const auto b = case1_builder(ByteSize::megabytes(1.0));
+  try {
+    static_cast<void>(b.make_sharing_manager(ByteSize::bytes(-1000)));
+    FAIL() << "negative headroom accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("got -1000"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

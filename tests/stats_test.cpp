@@ -172,7 +172,7 @@ TEST(ReplicationTest, ParallelMatchesSerialOnRealSimulations) {
     ChurnConfig config{
         .link_rate = Rate::megabits_per_second(48.0),
         .buffer = ByteSize::megabytes(1.0),
-        .scheme = ChurnScheme::kFifoThreshold,
+        .scheme = admission::Scheme::kFifoThreshold,
         .max_flows = 64,
         .churn = {.arrival_rate_hz = 80.0,
                   .mean_holding = Time::milliseconds(300),
