@@ -7,9 +7,10 @@
 // Two modes:
 //   (default)            google-benchmark micro-benchmarks, unchanged
 //   --metrics-out=PATH   one instrumented Table-1 run (events/s from the
-//                        simulator's own counters) plus a dequeue-latency
-//                        micro-measurement, exported as a BENCH_*.json
-//                        perf artifact (see scripts/bench_schema.json)
+//                        simulator's own counters) plus dequeue-latency
+//                        and calendar hold-model micro-measurements,
+//                        exported as a BENCH_*.json perf artifact (see
+//                        scripts/bench_schema.json)
 //
 // BM_DynamicFlowTableThresholds extends the scaling curve to 2^20
 // (~1e6) resident flows through the class-interned FlowTable — the
@@ -24,6 +25,7 @@
 #include <exception>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "admission/dynamic_manager.h"
@@ -36,6 +38,7 @@
 #include "sched/fifo.h"
 #include "sched/rpq.h"
 #include "sched/wfq.h"
+#include "sim/calendar_queue.h"
 #include "sim/inline_action.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -322,9 +325,73 @@ double measure_kernel_events_per_sec() {
   return rates[rates.size() / 2];
 }
 
+/// The classic hold model on a bare CalendarQueue: `depth` resident
+/// events, each pop re-pushing one exponential increment (mean 1 ms, the
+/// fabric's propagation delay: the regime in which calendars grow deep)
+/// after the popped time.  Comparing depths exposes a calendar depth
+/// cliff that the 64-ticker kernel rate cannot see.
+class HoldModel {
+ public:
+  explicit HoldModel(std::size_t depth) : rng_{depth} {
+    for (std::size_t i = 0; i < depth; ++i) push_after(Time::zero());
+  }
+
+  /// Runs `holds` pop+push pairs; returns their wall ns per hold.
+  double run(std::size_t holds) {
+    const auto begin = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < holds; ++i) {
+      CalendarQueue::Event ev = calendar_.pop_min();
+      ev.action();
+      push_after(ev.time);
+    }
+    const auto end = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(fired_);
+    return std::chrono::duration<double, std::nano>(end - begin).count() /
+           static_cast<double>(holds);
+  }
+
+ private:
+  void push_after(Time base) {
+    constexpr double kMeanIncrementNs = 1e6;
+    const auto dt =
+        Time::nanoseconds(static_cast<std::int64_t>(rng_.exponential(kMeanIncrementNs)));
+    const auto fire = [this] { ++fired_; };
+    static_assert(InlineAction::stores_inline<decltype(fire)>, "hold event must not allocate");
+    calendar_.push(CalendarQueue::Event{base + dt, seq_++, fire});
+  }
+
+  Rng rng_;
+  CalendarQueue calendar_;
+  std::uint64_t seq_{0};
+  std::uint64_t fired_{0};
+};
+
+/// Holds/s of the hold model at depths 64 and 16k.  One full turnover
+/// first, so every resize the depth triggers is done.  The timed batches
+/// alternate between the two depths, so a swing in the host's speed hits
+/// both sides of their ratio alike; each rate is the median batch.
+std::pair<double, double> measure_hold_events_per_sec() {
+  constexpr std::size_t kBatch = std::size_t{1} << 16;
+  constexpr int kBatches = 7;
+  HoldModel shallow{64};
+  HoldModel deep{16384};
+  shallow.run(kBatch);
+  deep.run(kBatch);
+  std::vector<double> shallow_ns;
+  std::vector<double> deep_ns;
+  for (int b = 0; b < kBatches; ++b) {
+    shallow_ns.push_back(shallow.run(kBatch));
+    deep_ns.push_back(deep.run(kBatch));
+  }
+  std::sort(shallow_ns.begin(), shallow_ns.end());
+  std::sort(deep_ns.begin(), deep_ns.end());
+  return {1e9 / shallow_ns[kBatches / 2], 1e9 / deep_ns[kBatches / 2]};
+}
+
 /// The --metrics-out path: instrumented Table-1 FIFO+thresholds runs
-/// (simulator event counters, buffer-occupancy histograms) plus dequeue
-/// latency distributions for the FIFO and per-flow-WFQ packet loops.
+/// (simulator event counters, buffer-occupancy histograms), dequeue
+/// latency distributions for the FIFO and per-flow-WFQ packet loops, and
+/// the calendar hold model at depths 64 and 16k.
 /// The latency loops record into standalone histograms, NOT a scoped
 /// registry, so the report's bm.* occupancy series describe the Table-1
 /// run alone — EXPERIMENTS.md compares them against the Prop-1/2
@@ -388,6 +455,9 @@ int run_metrics_mode(const std::string& path) {
     report.derived["events_per_sec_best"] = rates.back();
   }
   report.derived["kernel_events_per_sec"] = measure_kernel_events_per_sec();
+  const auto [hold_d64, hold_d16k] = measure_hold_events_per_sec();
+  report.derived["kernel_hold_events_per_sec_d64"] = hold_d64;
+  report.derived["kernel_hold_events_per_sec_d16k"] = hold_d16k;
   const auto fifo_lat = report.snapshot.histograms.find("bench.fifo_dequeue_ns");
   if (fifo_lat != report.snapshot.histograms.end()) {
     report.derived["fifo_dequeue_p50_ns"] = fifo_lat->second.percentile(0.50);

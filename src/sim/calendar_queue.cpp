@@ -1,6 +1,7 @@
 #include "sim/calendar_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace bufq {
@@ -9,8 +10,20 @@ CalendarQueue::CalendarQueue(int width_shift, std::size_t bucket_count_log2)
     : width_shift_{width_shift}, bucket_count_log2_{bucket_count_log2} {
   assert(width_shift >= 0 && width_shift < 62);
   assert(bucket_count_log2 >= 1 && bucket_count_log2 <= kMaxBucketCountLog2);
-  buckets_ = std::vector<Bucket>(bucket_count());
+  buckets_.assign(bucket_count(), Bucket{});
   occupancy_.assign((bucket_count() + 63) / 64, 0);
+}
+
+void CalendarQueue::add_chunk() {
+  assert(free_head_ == kNil);
+  assert(chunks_.size() + 1 < (std::size_t{1} << (32 - kChunkLog2)) &&
+         "slot index would reach kNil");
+  const auto base = static_cast<std::uint32_t>(chunks_.size() << kChunkLog2);
+  chunks_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kChunkLog2));
+  for (std::uint32_t i = kChunkMask + 1; i-- > 0;) {
+    slot(base + i).next = free_head_;
+    free_head_ = base + i;
+  }
 }
 
 Time CalendarQueue::min_time() const {
@@ -21,7 +34,7 @@ Time CalendarQueue::min_time() const {
   Time best = Time::max();
   if (ring_size_ > 0) {
     const Bucket& bucket = buckets_[index_of(first_occupied_window())];
-    best = bucket[min_index(bucket)].time;
+    best = slot(bucket_min(bucket).first).time;
   }
   // The far tier may hold an event whose window slid inside the horizon
   // since the last pop (drains are lazy), so it can beat the ring.
@@ -33,43 +46,44 @@ bool CalendarQueue::begin_batch(std::size_t idx, std::int64_t w, Time limit) {
   Bucket& bucket = buckets_[idx];
   // Honor the no-mutation contract: only drain once we know the head
   // will actually be popped (its time is <= limit).
-  if (bucket[min_index(bucket)].time > limit) return false;
-  assert(!batch_live() && batch_.empty() && batch_keys_.empty());
+  if (slot(bucket_min(bucket).first).time > limit) return false;
+  assert(!batch_live() && batch_keys_.empty());
   cursor_window_ = w;
   batch_end_ns_ = ((w + 1) << width_shift_) - 1;
-  const std::size_t n = bucket.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    batch_keys_.push_back(
-        BatchKey{bucket[i].time, bucket[i].seq, static_cast<std::uint32_t>(i)});
-    batch_.push_back(std::move(bucket[i]));
+  for (std::uint32_t s = bucket.head; s != kNil; s = slot(s).next) {
+    batch_keys_.push_back(Key{slot(s).time, slot(s).seq, s});
   }
-  bucket.clear();
+  ring_size_ -= bucket.depth;
+  bucket = Bucket{};
   occupancy_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-  ring_size_ -= n;
-  std::sort(batch_keys_.begin(), batch_keys_.end(),
-            [](const BatchKey& a, const BatchKey& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.seq < b.seq;
-            });
+  std::sort(batch_keys_.begin(), batch_keys_.end(), EarlierKey{});
   return true;
 }
 
-void CalendarQueue::rebuild_at(std::int64_t window) {
-  std::vector<Event> pending;
-  pending.reserve(ring_size_);
-  for (Bucket& bucket : buckets_) {
-    for (Event& ev : bucket) pending.push_back(std::move(ev));
-    bucket.clear();
-  }
-  std::fill(occupancy_.begin(), occupancy_.end(), 0);
+void CalendarQueue::refile_ring(std::int64_t window, std::size_t bucket_count_log2) {
+  std::vector<Bucket> old_buckets(std::size_t{1} << bucket_count_log2, Bucket{});
+  old_buckets.swap(buckets_);
+  std::vector<std::uint64_t> old_occupancy(((std::size_t{1} << bucket_count_log2) + 63) / 64, 0);
+  old_occupancy.swap(occupancy_);
+  bucket_count_log2_ = bucket_count_log2;
   ring_size_ = 0;
   cursor_window_ = window;
-  for (Event& ev : pending) {
-    const std::int64_t w = window_of(ev.time);
-    if (w >= horizon()) {
-      overflow_.push(std::move(ev));
-    } else {
-      file_into_ring(std::move(ev), w);
+  // Visit only the occupied old buckets: a sparse ring can be far larger
+  // than the events it holds.
+  for (std::size_t word = 0; word < old_occupancy.size(); ++word) {
+    for (std::uint64_t bits = old_occupancy[word]; bits != 0; bits &= bits - 1) {
+      const std::size_t idx = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      for (std::uint32_t s = old_buckets[idx].head; s != kNil;) {
+        // Read the link before file_into_ring() overwrites it.
+        const std::uint32_t next = slot(s).next;
+        const std::int64_t w = window_of(slot(s).time);
+        if (w >= horizon()) {
+          overflow_.push(Key{slot(s).time, slot(s).seq, s});
+        } else {
+          file_into_ring(s, w);
+        }
+        s = next;
+      }
     }
   }
 }
@@ -86,19 +100,19 @@ void CalendarQueue::narrow() {
 }
 
 void CalendarQueue::grow() {
-  std::vector<Event> pending;
-  pending.reserve(ring_size_);
-  for (Bucket& bucket : buckets_) {
-    for (Event& ev : bucket) pending.push_back(std::move(ev));
-    bucket.clear();
+  // Ring occupancy doubles the bucket count.  Far-tier pressure jumps
+  // straight to two buckets per pending event: the far tier's split is
+  // only re-measured after the drain below, so doubling one step at a
+  // time would re-file the ring once per step for the same outcome.
+  std::size_t log2 = bucket_count_log2_ + 1;
+  if (overflow_.size() > ring_size_) {
+    log2 = std::max(log2, static_cast<std::size_t>(std::bit_width(2 * size_ - 1)));
   }
-  ++bucket_count_log2_;
-  buckets_ = std::vector<Bucket>(bucket_count());
-  occupancy_.assign((bucket_count() + 63) / 64, 0);
-  ring_size_ = 0;
   // The old horizon is inside the new one, so every ring event re-files
-  // into the ring (never the far tier).
-  for (Event& ev : pending) file_into_ring(std::move(ev), window_of(ev.time));
+  // into the ring (never the far tier); then the far tier's head moves
+  // into the widened horizon.
+  refile_ring(cursor_window_, std::min(log2, kMaxBucketCountLog2));
+  drain_overflow();
 }
 
 }  // namespace bufq

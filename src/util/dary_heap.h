@@ -2,10 +2,10 @@
 //
 // Replaces node-based ordered containers on hot paths that only ever
 // need push + pop-min (WFQ's head-of-line index, the calendar queue's
-// tiers).  A 4-ary layout halves the tree depth of a binary heap and
-// keeps each sift level's children in one or two cache lines; the
-// element type only needs move construction and a strict-weak order, so
-// move-only payloads (calendar events) work.
+// far tier of (time, seq, slot) keys).  A 4-ary layout halves the tree
+// depth of a binary heap and keeps each sift level's children in one or
+// two cache lines; the element type only needs move construction and a
+// strict-weak order, so move-only payloads work.
 //
 // Determinism: pop() removes the exact minimum under Compare.  Callers
 // that need total reproducibility (the simulator, WFQ) make Compare a
@@ -47,15 +47,6 @@ class DaryMinHeap {
   BUFQ_HOT void push(T value) {
     data_.push_back(std::move(value));
     sift_up(data_.size() - 1);
-  }
-
-  /// Moves out the underlying storage in heap order (NOT sorted) and
-  /// leaves the heap empty.  Used by the calendar queue's rare
-  /// re-filing paths, where the destination re-establishes order.
-  std::vector<T> take() {
-    std::vector<T> out = std::move(data_);
-    data_.clear();
-    return out;
   }
 
   /// Removes and returns the smallest element.

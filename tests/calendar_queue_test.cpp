@@ -57,9 +57,10 @@ TEST(CalendarQueueTest, LazyResizeGrowsBucketCountAndNarrowsWidth) {
   {
     CalendarQueue q{/*width_shift=*/0, /*bucket_count_log2=*/3};
     const std::size_t before = q.bucket_count();
-    // All times inside the initial 8-window horizon (beyond-horizon
-    // events would sit in the far tier and never pressure the ring);
-    // width 0 cannot narrow, so occupancy must double the bucket count.
+    // All times inside the initial 8-window horizon, so this is the
+    // ring-occupancy lever alone (far-tier pressure is the other one,
+    // see DeepHoldKeepsMostEventsInTheRing); width 0 cannot narrow, so
+    // occupancy must double the bucket count.
     for (std::int64_t i = 0; i < 200; ++i) {
       q.push(make_event(i % 8, static_cast<std::uint64_t>(i)));
     }
@@ -132,12 +133,105 @@ TEST(CalendarQueueTest, StopDoesNotAdvanceRunUntilHorizon) {
   EXPECT_EQ(sim.now().ns(), 1000);
 }
 
-// Differential check against a reference heap ordered by (time, seq):
-// one million operations of near-monotone pushes (never before the last
-// popped time, matching the simulator's contract) interleaved with
-// pops, across configurations that exercise the default geometry, a
-// tiny ring that forces constant far-tier traffic, and a zero-width
-// ring where every distinct time is its own window.
+// A CalendarQueue and a reference heap ordered by (time, seq), fed the
+// same pushes.  Every event's action records its own seq when invoked,
+// so a pop that returns the right key with another slot's action (a slab
+// mix-up) fails as surely as a pop out of order.
+class Differential {
+ public:
+  Differential(int width_shift, std::size_t bucket_count_log2)
+      : q_{width_shift, bucket_count_log2} {}
+
+  CalendarQueue& queue() { return q_; }
+  [[nodiscard]] std::size_t size() const { return reference_.size(); }
+  /// Time of the last pop, or the run_until() horizon if later: pushes
+  /// must not precede it (the simulator's no-scheduling-in-the-past
+  /// contract).
+  [[nodiscard]] std::int64_t now() const { return now_; }
+
+  void push(std::int64_t ns) {
+    const std::uint64_t seq = next_seq_++;
+    q_.push(CalendarQueue::Event{Time::nanoseconds(ns), seq, [this, seq] { fired_ = seq; }});
+    reference_.emplace(ns, seq);
+  }
+
+  /// Pops the minimum and checks its key and its payload.
+  void pop() {
+    ASSERT_FALSE(reference_.empty());
+    const Key expected = reference_.top();
+    reference_.pop();
+    ASSERT_EQ(q_.min_time().ns(), expected.first);
+    CalendarQueue::Event ev = q_.pop_min();
+    check(ev, expected);
+  }
+
+  /// The simulator's run_until(): pops every event at or before `limit`
+  /// through the fused pop, then parks the clock on `limit`.
+  void run_until(std::int64_t limit) {
+    CalendarQueue::Event ev;
+    while (q_.pop_min_at_or_before(Time::nanoseconds(limit), ev)) {
+      ASSERT_FALSE(reference_.empty());
+      const Key expected = reference_.top();
+      reference_.pop();
+      check(ev, expected);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(reference_.empty() || reference_.top().first > limit);
+    now_ = std::max(now_, limit);
+  }
+
+  void drain() {
+    while (!reference_.empty()) {
+      pop();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q_.empty());
+  }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
+
+  void check(CalendarQueue::Event& ev, const Key& expected) {
+    ASSERT_EQ(ev.time.ns(), expected.first);
+    ASSERT_EQ(ev.seq, expected.second);
+    ASSERT_TRUE(static_cast<bool>(ev.action));
+    fired_ = ~std::uint64_t{0};
+    ev.action();
+    ASSERT_EQ(fired_, expected.second) << "popped event carries another event's action";
+    ASSERT_EQ(q_.size(), reference_.size());
+    now_ = expected.first;
+  }
+
+  CalendarQueue q_;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> reference_;
+  std::uint64_t next_seq_{0};
+  std::uint64_t fired_{0};
+  std::int64_t now_{0};
+};
+
+/// Steady hold model: `depth` resident events, each pop re-pushing one
+/// exponential increment (mean 1 ms, the fabric's propagation delay)
+/// after the popped time.
+void hold(Differential& d, Rng& rng, std::size_t depth, std::size_t holds) {
+  constexpr double kMeanIncrementNs = 1e6;
+  const auto increment = [&rng] {
+    return static_cast<std::int64_t>(rng.exponential(kMeanIncrementNs));
+  };
+  while (d.size() < depth) d.push(d.now() + increment());
+  for (std::size_t i = 0; i < holds; ++i) {
+    d.pop();
+    if (::testing::Test::HasFatalFailure()) return;
+    d.push(d.now() + increment());
+  }
+}
+
+// Differential check against the reference heap: one million operations
+// of near-monotone pushes interleaved with pops, across configurations
+// that exercise the default geometry, a tiny ring that forces constant
+// far-tier traffic, and a zero-width ring where every distinct time is
+// its own window; then three targeted workloads (a deep steady hold,
+// pushes into a live batch, and pushes below the cursor after
+// run_until()).
 TEST(CalendarQueueTest, MatchesReferenceHeapOverRandomizedWorkload) {
   struct Config {
     int width_shift;
@@ -150,17 +244,12 @@ TEST(CalendarQueueTest, MatchesReferenceHeapOverRandomizedWorkload) {
       {0, 4, 3},   // width 1ns: rebase + drain dominate
       {20, 6, 4},  // ~1ms windows: everything piles into few buckets
   };
-  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
   for (const Config& config : configs) {
-    CalendarQueue q{config.width_shift, config.bucket_count_log2};
-    std::priority_queue<Key, std::vector<Key>, std::greater<>> reference;
+    Differential d{config.width_shift, config.bucket_count_log2};
     Rng rng{config.seed};
-    std::uint64_t seq = 0;
-    std::int64_t last_popped = 0;
     constexpr std::size_t kOps = 250'000;  // x4 configs = 1M operations
     for (std::size_t op = 0; op < kOps; ++op) {
-      const bool push = reference.empty() || rng.uniform_u64(100) < 55;
-      if (push) {
+      if (d.size() == 0 || rng.uniform_u64(100) < 55) {
         // Mixed horizons: mostly near-future, a tail of far-future times
         // that must detour through the overflow tier.
         const std::uint64_t kind = rng.uniform_u64(100);
@@ -172,29 +261,98 @@ TEST(CalendarQueueTest, MatchesReferenceHeapOverRandomizedWorkload) {
         } else {
           delta = static_cast<std::int64_t>(rng.uniform_u64(5'000'000));
         }
-        q.push(make_event(last_popped + delta, seq));
-        reference.emplace(last_popped + delta, seq);
-        ++seq;
+        d.push(d.now() + delta);
       } else {
-        const Key expected = reference.top();
-        reference.pop();
-        ASSERT_EQ(q.min_time().ns(), expected.first);
-        const CalendarQueue::Event ev = q.pop_min();
-        ASSERT_EQ(ev.time.ns(), expected.first);
-        ASSERT_EQ(ev.seq, expected.second);
-        last_popped = expected.first;
+        d.pop();
       }
-      ASSERT_EQ(q.size(), reference.size());
+      ASSERT_FALSE(HasFatalFailure()) << "config seed " << config.seed;
     }
-    while (!reference.empty()) {
-      const Key expected = reference.top();
-      reference.pop();
-      const CalendarQueue::Event ev = q.pop_min();
-      ASSERT_EQ(ev.time.ns(), expected.first);
-      ASSERT_EQ(ev.seq, expected.second);
-    }
-    EXPECT_TRUE(q.empty());
+    d.drain();
+    ASSERT_FALSE(HasFatalFailure()) << "config seed " << config.seed;
   }
+
+  {
+    // A steady hold at depth 16k: the deep-calendar regime, where the
+    // ring grows with the far tier and slots recycle constantly.
+    Differential d{CalendarQueue::kDefaultWidthShift, CalendarQueue::kDefaultBucketCountLog2};
+    Rng rng{5};
+    hold(d, rng, 16'384, 65'536);
+    ASSERT_FALSE(HasFatalFailure());
+    d.drain();
+    ASSERT_FALSE(HasFatalFailure());
+  }
+
+  {
+    // Pushes into a live batch: 2^16 ns windows, so after the first pop
+    // drains a deep bucket, pushes a few hundred ns out (ties included)
+    // land inside the drained window and are spliced into the sorted
+    // keys, interleaved with pops.
+    Differential d{16, 6};
+    Rng rng{6};
+    for (std::size_t round = 0; round < 200; ++round) {
+      const std::int64_t base = d.now();
+      for (int i = 0; i < 10; ++i) {
+        d.push(base + static_cast<std::int64_t>(rng.uniform_u64(4096)));
+      }
+      for (int i = 0; i < 40; ++i) {
+        d.pop();
+        ASSERT_FALSE(HasFatalFailure());
+        const int pushes = static_cast<int>(rng.uniform_u64(3));  // 0..2 per pop
+        for (int p = 0; p < pushes; ++p) {
+          d.push(d.now() + static_cast<std::int64_t>(rng.uniform_u64(300)));
+        }
+        if (d.size() == 0) break;
+      }
+      d.drain();
+      ASSERT_FALSE(HasFatalFailure());
+    }
+  }
+
+  {
+    // Below-cursor pushes after run_until(): a run_until that empties
+    // the ring jumps the cursor to the far tier's earliest window and
+    // then stops short of it; the clock parks at the limit, and pushes
+    // just after the clock land below the cursor window and must take
+    // the rebuild path.  A 32 ns horizon keeps the far tier busy.
+    Differential d{2, 3};
+    Rng rng{7};
+    for (std::size_t round = 0; round < 20'000; ++round) {
+      const std::int64_t now = d.now();
+      const int far = 1 + static_cast<int>(rng.uniform_u64(4));
+      for (int i = 0; i < far; ++i) {
+        d.push(now + 1'000 + static_cast<std::int64_t>(rng.uniform_u64(100'000)));
+      }
+      const int near = static_cast<int>(rng.uniform_u64(4));
+      for (int i = 0; i < near; ++i) {
+        d.push(now + static_cast<std::int64_t>(rng.uniform_u64(64)));
+      }
+      d.run_until(now + 64 + static_cast<std::int64_t>(rng.uniform_u64(900)));
+      ASSERT_FALSE(HasFatalFailure());
+      const int late = static_cast<int>(rng.uniform_u64(4));
+      for (int i = 0; i < late; ++i) {
+        d.push(d.now() + static_cast<std::int64_t>(rng.uniform_u64(16)));
+      }
+      if (d.size() > 64) d.run_until(d.now() + 50'000);
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    d.drain();
+    ASSERT_FALSE(HasFatalFailure());
+  }
+}
+
+// The depth cliff: a 16k-deep calendar with millisecond spacing used to
+// keep its ring at 256 buckets once the width narrowed, parking ~80% of
+// its events in the far tier's heap.  After one full turnover of the
+// hold model, the ring must hold most of them.
+TEST(CalendarQueueTest, DeepHoldKeepsMostEventsInTheRing) {
+  constexpr std::size_t kDepth = 16'384;
+  Differential d{CalendarQueue::kDefaultWidthShift, CalendarQueue::kDefaultBucketCountLog2};
+  Rng rng{8};
+  hold(d, rng, kDepth, kDepth);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(d.queue().size(), kDepth);
+  EXPECT_LT(d.queue().far_size(), kDepth / 2);
+  EXPECT_GT(d.queue().bucket_count(), std::size_t{1} << CalendarQueue::kDefaultBucketCountLog2);
 }
 
 }  // namespace
