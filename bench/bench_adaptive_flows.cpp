@@ -10,11 +10,13 @@
 // with rate collapses).
 #include <iostream>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common.h"
 #include "core/scheme.h"
 #include "core/threshold.h"
+#include "obs/metrics.h"
 #include "sched/fifo.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
@@ -49,8 +51,13 @@ std::unique_ptr<BufferManager> build_manager(ManagerKind kind, ByteSize buffer, 
                       seed);
 }
 
-std::map<std::string, double> run_once(ManagerKind kind, ByteSize buffer,
-                                       const BenchOptions& options, std::uint64_t seed) {
+/// One run of the AIMD pipeline.  per_flow carries each flow's bytes
+/// delivered over the measured interval and its bytes dropped over the
+/// whole run, warmup included: AIMD pays for every loss with a rate
+/// collapse.
+ExperimentResult run_once(ManagerKind kind, ByteSize buffer, Time warmup, Time duration,
+                          std::uint64_t seed) {
+  obs::ScopedMetrics run_metrics;
   const Rate link_rate = paper_link_rate();
   Simulator sim;
   auto manager = build_manager(kind, buffer, link_rate, seed ^ 0xA1Dull);
@@ -78,29 +85,33 @@ std::map<std::string, double> run_once(ManagerKind kind, ByteSize buffer,
         sim, link, static_cast<FlowId>(f), Rate::megabits_per_second(30.0), kPkt));
   }
 
-  std::vector<std::int64_t> delivered(kFlows, 0);
-  std::vector<std::int64_t> dropped(kFlows, 0);
+  ExperimentResult result;
+  result.per_flow.resize(kFlows);
+  result.interval = duration;
   fifo.set_drop_handler([&](const Packet& p, Time) {
-    dropped[static_cast<std::size_t>(p.flow)] += p.size_bytes;
-    if (static_cast<std::size_t>(p.flow) < kAdaptive) {
-      adaptive[static_cast<std::size_t>(p.flow)]->on_loss();
-    }
+    const auto f = static_cast<std::size_t>(p.flow);
+    result.per_flow[f].dropped_bytes += p.size_bytes;
+    if (f < kAdaptive) adaptive[f]->on_loss();
   });
   link.set_delivery_handler([&](const Packet& p, Time t) {
-    if (t >= options.warmup) delivered[static_cast<std::size_t>(p.flow)] += p.size_bytes;
+    if (t < warmup) return;
+    result.per_flow[static_cast<std::size_t>(p.flow)].delivered_bytes += p.size_bytes;
   });
 
   for (auto& s : adaptive) s->start();
   for (auto& s : blasters) s->start();
-  sim.run_until(options.warmup + options.duration);
+  sim.run_until(warmup + duration);
+  result.metrics = run_metrics.registry().snapshot();
+  return result;
+}
 
-  const double secs = options.duration.to_seconds();
+std::map<std::string, double> adaptive_metrics(const ExperimentResult& r) {
   double adaptive_mbps = 0.0, blaster_mbps = 0.0, adaptive_dropped = 0.0;
   for (std::size_t f = 0; f < kFlows; ++f) {
-    const double mbps = static_cast<double>(delivered[f]) * 8.0 / secs * 1e-6;
+    const double mbps = r.flow_throughput_mbps(static_cast<FlowId>(f));
     if (f < kAdaptive) {
       adaptive_mbps += mbps;
-      adaptive_dropped += static_cast<double>(dropped[f]);
+      adaptive_dropped += static_cast<double>(r.per_flow[f].dropped_bytes);
     } else {
       blaster_mbps += mbps;
     }
@@ -116,29 +127,40 @@ std::map<std::string, double> run_once(ManagerKind kind, ByteSize buffer,
 
 int main(int argc, char** argv) {
   const auto options = parse_options(argc, argv, {0.25, 0.5, 1.0});
-  print_banner(std::cout, "Adaptive traffic",
-               "4 AIMD flows (16 Mb/s reserved) vs 2 greedy blasters (4 Mb/s reserved)",
-               options);
 
-  CsvWriter csv{std::cout, {"buffer_mb", "manager", "adaptive_mbps", "blaster_mbps",
-                            "adaptive_dropped_kb"}};
+  FigureSweep sweep;
+  sweep.name = "Adaptive traffic";
+  sweep.what = "4 AIMD flows (16 Mb/s reserved) vs 2 greedy blasters (4 Mb/s reserved)";
+  sweep.columns = {"buffer_mb", "manager", "adaptive_mbps", "blaster_mbps",
+                   "adaptive_dropped_kb"};
   for (double buffer_mb : options.buffers_mb) {
     for (const auto& [label, kind] :
          {std::pair{"tail-drop", ManagerKind::kNone}, std::pair{"red", ManagerKind::kRed},
           std::pair{"thresholds", ManagerKind::kThreshold},
           std::pair{"sharing", ManagerKind::kSharing},
           std::pair{"selective", ManagerKind::kSelectiveSharing}}) {
-      ReplicationRunner runner{options.base_seed, options.seeds};
-      const auto metrics = runner.run([&](std::uint64_t seed) {
-        return run_once(kind, ByteSize::megabytes(buffer_mb), options, seed);
-      });
-      csv.row({format_double(buffer_mb), label,
-               format_double(metrics.at("adaptive_mbps").mean),
-               format_double(metrics.at("blaster_mbps").mean),
-               format_double(metrics.at("adaptive_dropped_kb").mean)});
+      SweepCase c;
+      c.label = label;
+      c.params = {{"buffer_mb", format_double(buffer_mb)}};
+      c.runner = [kind, buffer = ByteSize::megabytes(buffer_mb), warmup = options.warmup,
+                  duration = options.duration](std::uint64_t seed) {
+        return run_once(kind, buffer, warmup, duration, seed);
+      };
+      sweep.cases.push_back(std::move(c));
     }
   }
-  std::cout << "\n# adaptive flows are entitled to 16 Mb/s plus a fair slice of the\n"
-               "# ~28 Mb/s of unreserved capacity; blasters are entitled to 4 Mb/s.\n";
-  return 0;
+  sweep.extract = adaptive_metrics;
+  sweep.format_row = [](const SweepRow& row) {
+    return std::vector<std::string>{row.params[0].second, row.label,
+                                    format_double(summary_of(row, "adaptive_mbps").mean),
+                                    format_double(summary_of(row, "blaster_mbps").mean),
+                                    format_double(summary_of(row, "adaptive_dropped_kb").mean)};
+  };
+
+  const int rc = run_bench_sweep(std::move(sweep), options);
+  if (rc == 0) {
+    std::cout << "\n# adaptive flows are entitled to 16 Mb/s plus a fair slice of the\n"
+                 "# ~28 Mb/s of unreserved capacity; blasters are entitled to 4 Mb/s.\n";
+  }
+  return rc;
 }

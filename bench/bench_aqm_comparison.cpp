@@ -10,6 +10,7 @@
 // reservation-aware schemes deliver the contracted rates, and selective
 // sharing additionally shuts aggressive flows out of the idle buffer.
 #include <iostream>
+#include <utility>
 
 #include "common.h"
 #include "util/csv.h"
@@ -19,26 +20,18 @@ int main(int argc, char** argv) {
   using namespace bufq::bench;
 
   const auto options = parse_options(argc, argv, {0.5, 1.0, 2.0});
-  print_banner(std::cout, "AQM ablation",
-               "reservation-aware buffer management vs RED / FRED / DT", options);
+
+  FigureSweep sweep;
+  sweep.name = "AQM ablation";
+  sweep.what = "reservation-aware buffer management vs RED / FRED / DT";
+  sweep.columns = {"buffer_mb", "scheme", "conformant_loss", "conformant_mbps",
+                   "aggressive_mbps", "total_mbps"};
 
   ExperimentConfig config;
   config.link_rate = paper_link_rate();
   config.flows = table1_flows();
-  const auto conformant = table1_conformant_flows();
-
-  auto extract = [&](const ExperimentResult& r) {
-    double conformant_goodput = 0.0;
-    for (FlowId f : conformant) conformant_goodput += r.flow_throughput_mbps(f);
-    double aggressive_goodput = 0.0;
-    for (FlowId f = 6; f < 9; ++f) aggressive_goodput += r.flow_throughput_mbps(f);
-    return std::map<std::string, double>{
-        {"loss", r.loss_ratio(conformant)},
-        {"conformant_mbps", conformant_goodput},
-        {"aggressive_mbps", aggressive_goodput},
-        {"total_mbps", r.aggregate_throughput_mbps()},
-    };
-  };
+  config.warmup = options.warmup;
+  config.duration = options.duration;
 
   const std::vector<SchemeVariant> schemes{
       {"tail-drop", make_scheme(SchedulerKind::kFifo, ManagerKind::kNone)},
@@ -53,22 +46,42 @@ int main(int argc, char** argv) {
        make_scheme(SchedulerKind::kFifo, ManagerKind::kSelectiveSharing,
                    ByteSize::kilobytes(300.0))},
   };
-
-  CsvWriter csv{std::cout,
-                {"buffer_mb", "scheme", "conformant_loss", "conformant_mbps",
-                 "aggressive_mbps", "total_mbps"}};
   for (double buffer_mb : options.buffers_mb) {
     config.buffer = ByteSize::megabytes(buffer_mb);
     for (const auto& variant : schemes) {
-      config.scheme = variant.scheme;
-      const auto metrics = replicate(config, options, extract);
-      csv.row({format_double(buffer_mb), variant.name,
-               format_double(metrics.at("loss").mean),
-               format_double(metrics.at("conformant_mbps").mean),
-               format_double(metrics.at("aggressive_mbps").mean),
-               format_double(metrics.at("total_mbps").mean)});
+      SweepCase c;
+      c.label = variant.name;
+      c.params = {{"buffer_mb", format_double(buffer_mb)}};
+      c.config = config;
+      c.config.scheme = variant.scheme;
+      sweep.cases.push_back(std::move(c));
     }
   }
-  std::cout << "\n# contracted conformant aggregate: 30 Mb/s (flows 0-5 at their token rates)\n";
-  return 0;
+
+  sweep.extract = [conformant = table1_conformant_flows()](const ExperimentResult& r) {
+    double conformant_goodput = 0.0;
+    for (FlowId f : conformant) conformant_goodput += r.flow_throughput_mbps(f);
+    double aggressive_goodput = 0.0;
+    for (FlowId f = 6; f < 9; ++f) aggressive_goodput += r.flow_throughput_mbps(f);
+    return std::map<std::string, double>{
+        {"loss", r.loss_ratio(conformant)},
+        {"conformant_mbps", conformant_goodput},
+        {"aggressive_mbps", aggressive_goodput},
+        {"total_mbps", r.aggregate_throughput_mbps()},
+    };
+  };
+  sweep.format_row = [](const SweepRow& row) {
+    return std::vector<std::string>{row.params[0].second, row.label,
+                                    format_double(summary_of(row, "loss").mean),
+                                    format_double(summary_of(row, "conformant_mbps").mean),
+                                    format_double(summary_of(row, "aggressive_mbps").mean),
+                                    format_double(summary_of(row, "total_mbps").mean)};
+  };
+
+  const int rc = run_bench_sweep(std::move(sweep), options);
+  if (rc == 0) {
+    std::cout << "\n# contracted conformant aggregate: 30 Mb/s (flows 0-5 at their token "
+                 "rates)\n";
+  }
+  return rc;
 }

@@ -8,31 +8,28 @@
 // insensitive (the Proposition 2 thresholds are worst-case, not
 // stochastic), while aggregate utilization degrades somewhat under heavy
 // tails because huge aggressive bursts overflow their thresholds more.
-#include <iostream>
 #include <utility>
 
 #include "common.h"
 #include "util/csv.h"
-#include "util/task_pool.h"
 
 int main(int argc, char** argv) {
   using namespace bufq;
   using namespace bufq::bench;
 
   const auto options = parse_options(argc, argv, {0.5, 1.0, 2.0});
-  print_banner(std::cout, "Robustness",
-               "burst-distribution sensitivity of threshold/sharing schemes", options);
+
+  FigureSweep sweep;
+  sweep.name = "Robustness";
+  sweep.what = "burst-distribution sensitivity of threshold/sharing schemes";
+  sweep.columns = {"buffer_mb", "scheme", "burst_law", "conformant_loss", "throughput_mbps"};
 
   ExperimentConfig base;
   base.link_rate = paper_link_rate();
   base.flows = table1_flows();
   base.warmup = options.warmup;
   base.duration = options.duration;
-  const auto conformant = table1_conformant_flows();
 
-  // The whole buffer x scheme x burst-law grid as one sweep, so the pool
-  // balances across grid points, not just within one point's seeds.
-  std::vector<SweepCase> cases;
   for (double buffer_mb : options.buffers_mb) {
     for (const auto& [scheme_name, manager] :
          {std::pair{"fifo+thresholds", ManagerKind::kThreshold},
@@ -51,46 +48,21 @@ int main(int argc, char** argv) {
         c.config.scheme.manager = manager;
         c.config.scheme.headroom = ByteSize::kilobytes(300.0);
         c.config.burst_distribution = law;
-        cases.push_back(std::move(c));
+        sweep.cases.push_back(std::move(c));
       }
     }
   }
 
-  SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs;
-  sweep_options.replications = options.seeds;
-  sweep_options.base_seed = options.base_seed;
-  sweep_options.seed_mode = SeedMode::kSharedAcrossCases;
-  sweep_options.progress = options.progress ? &std::cerr : nullptr;
-
-  const auto result = run_sweep(std::move(cases),
-                                [&conformant](const ExperimentResult& r) {
-                                  return std::map<std::string, double>{
-                                      {"loss", r.loss_ratio(conformant)},
-                                      {"throughput", r.aggregate_throughput_mbps()},
-                                  };
-                                },
-                                sweep_options);
-
-  const auto mean = [](const SweepRow& row, const char* name) {
-    const auto it = row.metrics.find(name);
-    return it == row.metrics.end() ? 0.0 : it->second.mean;
+  sweep.extract = [conformant = table1_conformant_flows()](const ExperimentResult& r) {
+    return std::map<std::string, double>{
+        {"loss", r.loss_ratio(conformant)},
+        {"throughput", r.aggregate_throughput_mbps()},
+    };
   };
-  CsvWriter csv{std::cout, {"buffer_mb", "scheme", "burst_law", "conformant_loss",
-                            "throughput_mbps"}};
-  for (const SweepRow& row : result.rows) {
-    csv.row({row.params[0].second, row.label, row.params[1].second,
-             format_double(mean(row, "loss")), format_double(mean(row, "throughput"))});
-  }
-
-  if (!result.ok()) {
-    for (const SweepRow& row : result.rows) {
-      if (!row.error.empty()) {
-        std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
-                  << "\n";
-      }
-    }
-    return 1;
-  }
-  return 0;
+  sweep.format_row = [](const SweepRow& row) {
+    return std::vector<std::string>{row.params[0].second, row.label, row.params[1].second,
+                                    format_double(summary_of(row, "loss").mean),
+                                    format_double(summary_of(row, "throughput").mean)};
+  };
+  return run_bench_sweep(std::move(sweep), options);
 }

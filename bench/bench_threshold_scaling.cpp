@@ -4,11 +4,12 @@
 // across buffer sizes (the difference only exists for large buffers,
 // where scaling hands the slack to whoever can use it — mostly the
 // aggressive flows).
-#include <iostream>
 #include <memory>
+#include <utility>
 
 #include "common.h"
 #include "core/threshold.h"
+#include "obs/metrics.h"
 #include "sched/fifo.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
@@ -23,10 +24,11 @@ using namespace bufq;
 using namespace bufq::bench;
 
 /// Local pipeline so the scaling mode can be toggled (the standard
-/// ExperimentConfig always uses the paper's kScaleToFill).
-std::map<std::string, double> run_with_scaling(ThresholdScaling scaling, ByteSize buffer,
-                                               const BenchOptions& options,
-                                               std::uint64_t seed) {
+/// ExperimentConfig always uses the paper's kScaleToFill).  Returns the
+/// per-flow counter deltas over the measured interval.
+ExperimentResult run_with_scaling(ThresholdScaling scaling, ByteSize buffer, Time warmup,
+                                  Time duration, std::uint64_t seed) {
+  obs::ScopedMetrics run_metrics;
   const auto flows = table1_flows();
   const auto specs = flow_specs(flows);
   Simulator sim;
@@ -56,50 +58,52 @@ std::map<std::string, double> run_with_scaling(ThresholdScaling scaling, ByteSiz
   }
 
   std::vector<FlowCounters> at_warmup;
-  sim.at(options.warmup, [&] { at_warmup = stats.snapshot(); });
-  sim.run_until(options.warmup + options.duration);
+  sim.at(warmup, [&] { at_warmup = stats.snapshot(); });
+  sim.run_until(warmup + duration);
   const auto at_end = stats.snapshot();
 
-  std::int64_t delivered = 0, conformant_offered = 0, conformant_dropped = 0;
+  ExperimentResult result;
+  result.interval = duration;
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    const auto delta = at_end[f] - at_warmup[f];
-    delivered += delta.delivered_bytes;
-    if (f < 6) {
-      conformant_offered += delta.offered_bytes;
-      conformant_dropped += delta.dropped_bytes;
-    }
+    result.per_flow.push_back(at_end[f] - at_warmup[f]);
   }
-  return {
-      {"throughput_mbps",
-       static_cast<double>(delivered) * 8.0 / options.duration.to_seconds() * 1e-6},
-      {"conformant_loss", conformant_offered > 0
-                              ? static_cast<double>(conformant_dropped) /
-                                    static_cast<double>(conformant_offered)
-                              : 0.0},
-  };
+  result.metrics = run_metrics.registry().snapshot();
+  return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = parse_options(argc, argv, {0.5, 1.0, 2.0, 3.0, 5.0, 8.0});
-  print_banner(std::cout, "Footnote 5 ablation",
-               "threshold scale-to-fill vs exact analytic thresholds", options);
 
-  CsvWriter csv{std::cout,
-                {"buffer_mb", "scaling", "throughput_mbps", "conformant_loss"}};
+  FigureSweep sweep;
+  sweep.name = "Footnote 5 ablation";
+  sweep.what = "threshold scale-to-fill vs exact analytic thresholds";
+  sweep.columns = {"buffer_mb", "scaling", "throughput_mbps", "conformant_loss"};
   for (double buffer_mb : options.buffers_mb) {
     for (auto [name, scaling] :
          {std::pair{"scale-to-fill", ThresholdScaling::kScaleToFill},
           std::pair{"exact", ThresholdScaling::kExact}}) {
-      ReplicationRunner runner{options.base_seed, options.seeds};
-      const auto metrics = runner.run([&](std::uint64_t seed) {
-        return run_with_scaling(scaling, ByteSize::megabytes(buffer_mb), options, seed);
-      });
-      csv.row({format_double(buffer_mb), name,
-               format_double(metrics.at("throughput_mbps").mean),
-               format_double(metrics.at("conformant_loss").mean)});
+      SweepCase c;
+      c.label = name;
+      c.params = {{"buffer_mb", format_double(buffer_mb)}};
+      c.runner = [scaling, buffer = ByteSize::megabytes(buffer_mb), warmup = options.warmup,
+                  duration = options.duration](std::uint64_t seed) {
+        return run_with_scaling(scaling, buffer, warmup, duration, seed);
+      };
+      sweep.cases.push_back(std::move(c));
     }
   }
-  return 0;
+  sweep.extract = [conformant = table1_conformant_flows()](const ExperimentResult& r) {
+    return std::map<std::string, double>{
+        {"throughput_mbps", r.aggregate_throughput_mbps()},
+        {"conformant_loss", r.loss_ratio(conformant)},
+    };
+  };
+  sweep.format_row = [](const SweepRow& row) {
+    return std::vector<std::string>{row.params[0].second, row.label,
+                                    format_double(summary_of(row, "throughput_mbps").mean),
+                                    format_double(summary_of(row, "conformant_loss").mean)};
+  };
+  return run_bench_sweep(std::move(sweep), options);
 }

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -12,114 +11,36 @@
 #include "util/task_pool.h"
 
 namespace bufq::bench {
-namespace {
-
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> values;
-  std::stringstream ss{csv};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    values.push_back(std::stod(item));
-  }
-  return values;
-}
-
-}  // namespace
 
 BenchOptions parse_options(int argc, const char* const* argv,
                            std::vector<double> default_buffers_mb) {
-  Flags flags{argc, argv};
-  BenchOptions options;
-  options.seeds = static_cast<std::size_t>(
-      flags.get_int("replications", flags.get_int("seeds", 5)));
-  options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  options.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
-  options.duration = Time::from_seconds(flags.get_double("duration", 20.0));
-  if (const auto buffers = flags.get("buffers")) {
-    options.buffers_mb = parse_list(*buffers);
-  } else {
-    options.buffers_mb = std::move(default_buffers_mb);
-  }
-  options.jobs = static_cast<std::size_t>(
-      flags.get_int("jobs", static_cast<std::int64_t>(TaskPool::default_thread_count())));
-  options.progress = flags.get_bool("progress", false);
-  options.metrics_out = flags.get("metrics-out").value_or("");
-  const auto checkpoint_out = flags.get("checkpoint-out");
-  const auto checkpoint_in = flags.get("checkpoint-in");
-  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
-          static_cast<int>(roundtrip) >
-      1) {
-    std::fprintf(stderr,
-                 "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually "
-                 "exclusive\n");
+  try {
+    Flags flags{argc, argv};
+    BenchOptions options;
+    options.seeds = flags.get_count("replications", flags.get_count("seeds", 5, 1), 1);
+    options.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    options.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
+    options.duration = Time::from_seconds(flags.get_double("duration", 20.0));
+    options.buffers_mb =
+        flags.get_double_list("buffers").value_or(std::move(default_buffers_mb));
+    options.jobs = flags.get_count("jobs", 0, 0);
+    if (options.jobs == 0) options.jobs = TaskPool::default_thread_count();
+    options.progress = flags.get_bool("progress", false);
+    options.metrics_out = flags.get("metrics-out").value_or("");
+    options.checkpoint = parse_sweep_checkpoint(flags);
+    const auto unknown = flags.unused();
+    if (!unknown.empty()) {
+      throw std::invalid_argument(
+          "unknown flag --" + unknown.front() +
+          " (supported: --seeds --replications --seed --warmup --duration --buffers --jobs "
+          "--progress --metrics-out --checkpoint-out --checkpoint-in --checkpoint-roundtrip "
+          "--checkpoint-events --checkpoint-at)");
+    }
+    return options;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
   }
-  if (checkpoint_out) {
-    options.checkpoint.mode = SweepCheckpointMode::kWrite;
-    options.checkpoint.dir = *checkpoint_out;
-  } else if (checkpoint_in) {
-    options.checkpoint.mode = SweepCheckpointMode::kRead;
-    options.checkpoint.dir = *checkpoint_in;
-  } else if (roundtrip) {
-    options.checkpoint.mode = SweepCheckpointMode::kRoundtrip;
-  }
-  options.checkpoint.trigger.events =
-      static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-  options.checkpoint.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
-  const auto unknown = flags.unused();
-  if (!unknown.empty()) {
-    std::fprintf(stderr,
-                 "unknown flag --%s (supported: --seeds --replications --seed --warmup "
-                 "--duration --buffers --jobs --progress --metrics-out --checkpoint-out "
-                 "--checkpoint-in --checkpoint-roundtrip --checkpoint-events "
-                 "--checkpoint-at)\n",
-                 unknown.front().c_str());
-    std::exit(2);
-  }
-  return options;
-}
-
-std::map<std::string, Summary> replicate(
-    ExperimentConfig config, const BenchOptions& options,
-    const std::function<std::map<std::string, double>(const ExperimentResult&)>& extract) {
-  config.warmup = options.warmup;
-  config.duration = options.duration;
-
-  SweepCase single;
-  single.label = "replicate";
-  single.config = std::move(config);
-
-  SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs;
-  sweep_options.replications = options.seeds;
-  sweep_options.base_seed = options.base_seed;
-  sweep_options.seed_mode = SeedMode::kSharedAcrossCases;
-  sweep_options.checkpoint = options.checkpoint;
-  const SweepResult result = run_sweep({std::move(single)}, extract, sweep_options);
-
-  const SweepRow& row = result.rows.front();
-  if (!row.error.empty()) {
-    throw std::runtime_error("replication failed: " + row.error);
-  }
-  std::map<std::string, Summary> summaries;
-  for (const auto& [name, metric] : row.metrics) {
-    Summary s;
-    s.mean = metric.mean;
-    s.half_width_95 = metric.ci95;
-    s.n = metric.n;
-    summaries[name] = s;
-  }
-  return summaries;
-}
-
-std::map<std::string, double> throughput_metric(const ExperimentResult& result) {
-  return {{"throughput_mbps", result.aggregate_throughput_mbps()}};
-}
-
-std::map<std::string, double> conformant_loss_metric(const ExperimentResult& result,
-                                                     const std::vector<FlowId>& conformant) {
-  return {{"loss_ratio", result.loss_ratio(conformant)}};
 }
 
 namespace {
@@ -140,86 +61,83 @@ void print_profile_table(std::ostream& out, const std::vector<TrafficProfile>& f
   out << "\n";
 }
 
-}  // namespace
-
-void print_table1(std::ostream& out) {
-  print_profile_table(out, table1_flows(), "# Table 1 workload (9 flows, 48 Mb/s link)");
-}
-
-void print_table2(std::ostream& out) {
-  print_profile_table(out, table2_flows(), "# Table 2 workload (30 flows, 48 Mb/s link)");
-}
-
-void print_banner(std::ostream& out, const std::string& figure, const std::string& what,
-                  const BenchOptions& options) {
-  out << "# " << figure << ": " << what << "\n";
+/// The banner deliberately excludes --jobs so the full output stream
+/// stays byte-identical across thread counts (jobs info goes to stderr).
+void print_banner(std::ostream& out, const FigureSweep& sweep, const BenchOptions& options) {
+  out << "# " << sweep.name << ": " << sweep.what << "\n";
   out << "# seeds=" << options.seeds << " base_seed=" << options.base_seed
       << " warmup=" << options.warmup.to_seconds() << "s"
       << " duration=" << options.duration.to_seconds() << "s\n";
+  if (!sweep.print_workload) return;
+  if (sweep.workload_table == 2) {
+    print_profile_table(out, table2_flows(), "# Table 2 workload (30 flows, 48 Mb/s link)");
+  } else {
+    print_profile_table(out, table1_flows(), "# Table 1 workload (9 flows, 48 Mb/s link)");
+  }
 }
 
-int run_figure_main(int figure, int argc, const char* const* argv) {
-  const auto options = parse_options(argc, argv, figure_default_buffers_mb(figure));
-
-  FigureParams params;
-  params.buffers_mb = options.buffers_mb;
-  params.warmup = options.warmup;
-  params.duration = options.duration;
-  FigureSweep fig = make_figure_sweep(figure, params);
-
-  print_banner(std::cout, fig.name, fig.what, options);
-  if (fig.print_workload) {
-    (fig.workload_table == 2 ? print_table2 : print_table1)(std::cout);
+/// --metrics-out: the obs registry merged over every run, plus events/s.
+void write_metrics(const std::string& path, const std::string& bench, const SweepResult& result) {
+  obs::BenchReport report;
+  report.bench = bench;
+  for (const SweepRow& row : result.rows) report.snapshot.merge(row.obs_metrics);
+  const auto events = report.snapshot.counters.find("sim.events");
+  const auto wall = report.snapshot.counters.find("sim.wall_ns");
+  if (events != report.snapshot.counters.end() && wall != report.snapshot.counters.end() &&
+      wall->second > 0) {
+    report.derived["events_per_sec"] =
+        static_cast<double>(events->second) / (static_cast<double>(wall->second) * 1e-9);
   }
-  std::cerr << "# jobs=" << (options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs)
-            << " runs=" << fig.cases.size() * options.seeds << "\n";
+  obs::write_bench_json_file(path, report);
+}
+
+}  // namespace
+
+int run_bench_sweep(FigureSweep sweep, const BenchOptions& options) {
+  print_banner(std::cout, sweep, options);
+  std::cerr << "# jobs=" << options.jobs << " runs=" << sweep.cases.size() * options.seeds
+            << "\n";
 
   SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs == 0 ? TaskPool::default_thread_count() : options.jobs;
+  sweep_options.jobs = options.jobs;
   sweep_options.replications = options.seeds;
   sweep_options.base_seed = options.base_seed;
   // Common random numbers: every grid point sees the same seed set, which
-  // is the methodology the serial benches always used.
+  // sharpens scheme-vs-scheme comparisons at a fixed replication budget.
   sweep_options.seed_mode = SeedMode::kSharedAcrossCases;
   sweep_options.progress = options.progress ? &std::cerr : nullptr;
   sweep_options.checkpoint = options.checkpoint;
 
-  const SweepResult result = run_sweep(std::move(fig.cases), fig.extract, sweep_options);
+  const SweepResult result = run_sweep(std::move(sweep.cases), sweep.extract, sweep_options);
 
-  CsvWriter csv{std::cout, fig.columns};
-  for (const SweepRow& row : result.rows) {
-    csv.row(fig.format_row(row));
-  }
+  CsvWriter csv{std::cout, sweep.columns};
+  for (const SweepRow& row : result.rows) csv.row(sweep.format_row(row));
 
   if (!options.metrics_out.empty()) {
-    obs::BenchReport report;
-    report.bench = fig.name;
-    for (const SweepRow& row : result.rows) report.snapshot.merge(row.obs_metrics);
-    const auto events = report.snapshot.counters.find("sim.events");
-    const auto wall = report.snapshot.counters.find("sim.wall_ns");
-    if (events != report.snapshot.counters.end() && wall != report.snapshot.counters.end() &&
-        wall->second > 0) {
-      report.derived["events_per_sec"] =
-          static_cast<double>(events->second) / (static_cast<double>(wall->second) * 1e-9);
-    }
     try {
-      obs::write_bench_json_file(options.metrics_out, report);
+      write_metrics(options.metrics_out, sweep.name, result);
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 1;
     }
   }
 
-  if (!result.ok()) {
-    for (const SweepRow& row : result.rows) {
-      if (!row.error.empty()) {
-        std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
-                  << "\n";
-      }
+  for (const SweepRow& row : result.rows) {
+    if (!row.error.empty()) {
+      std::cerr << "error: case " << row.index << " (" << row.label << "): " << row.error
+                << "\n";
     }
-    return 1;
   }
-  return 0;
+  return result.ok() ? 0 : 1;
+}
+
+int run_figure_main(int figure, int argc, const char* const* argv) {
+  const auto options = parse_options(argc, argv, figure_default_buffers_mb(figure));
+  FigureParams params;
+  params.buffers_mb = options.buffers_mb;
+  params.warmup = options.warmup;
+  params.duration = options.duration;
+  return run_bench_sweep(make_figure_sweep(figure, params), options);
 }
 
 }  // namespace bufq::bench

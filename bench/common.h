@@ -1,12 +1,10 @@
-// Shared infrastructure for the figure-reproduction binaries: common
-// command-line options, sweep-engine-backed replication, and the figure
-// drivers.  The figure grids themselves live in expt/figures.h so the
-// `sweep` example CLI shares them.
+// Shared infrastructure for the replicated bench binaries: common
+// command-line options and the one driver that runs a bench's grid
+// through the sweep engine.  The figure grids themselves live in
+// expt/figures.h so the `sweep` example CLI shares them; the table
+// benches build their own FigureSweep and hand it to the same driver.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "expt/figures.h"
 #include "expt/sweep.h"
 #include "expt/workloads.h"
-#include "stats/replication.h"
 #include "util/flags.h"
 
 namespace bufq::bench {
@@ -27,15 +24,15 @@ using bufq::SchemeVariant;
 using bufq::sharing_figure_schemes;
 using bufq::threshold_figure_schemes;
 
-/// Options every figure binary accepts:
-///   --seeds=N          replications (default 5, the paper's count)
+/// Options every replicated bench accepts:
+///   --seeds=N          replications, >= 1 (default 5, the paper's count)
 ///   --replications=N   alias for --seeds
 ///   --seed=S           base seed (default 1)
 ///   --warmup=SECS      transient discarded (default 5)
 ///   --duration=SECS    measured interval (default 20)
-///   --buffers=a,b,c    buffer sizes in MB (figure-specific default)
-///   --jobs=N           worker threads (default: hardware concurrency);
-///                      results are bit-identical at any value
+///   --buffers=a,b,c    buffer sizes in MB (bench-specific default)
+///   --jobs=N           worker threads, >= 0 (default and 0: hardware
+///                      concurrency); results are bit-identical at any value
 ///   --progress         progress/ETA line on stderr
 ///   --metrics-out=PATH BENCH_*.json perf artifact (obs registry merged
 ///                      over every run, plus derived events/s); the run
@@ -50,51 +47,36 @@ using bufq::threshold_figure_schemes;
 ///   --checkpoint-events=N  snapshot after N dispatched events
 ///   --checkpoint-at=SECS   snapshot at simulated time SECS (default:
 ///                          end of warmup)
-/// The three mode flags are mutually exclusive.
+/// The three mode flags are mutually exclusive (parse_sweep_checkpoint).
+/// Benches whose runs are custom pipelines refuse the checkpoint modes:
+/// every run fails with an error and the bench exits 1.
 struct BenchOptions {
   std::size_t seeds{5};
   std::uint64_t base_seed{1};
   Time warmup{Time::seconds(5)};
   Time duration{Time::seconds(20)};
   std::vector<double> buffers_mb;
-  std::size_t jobs{0};  ///< 0 = hardware concurrency
+  std::size_t jobs{1};  ///< worker threads (--jobs=0 resolves to hardware concurrency)
   bool progress{false};
   std::string metrics_out;  ///< empty = no metrics artifact
   SweepCheckpoint checkpoint;
 };
 
-/// Parses options; exits with a message on malformed or unknown flags.
+/// Parses options; exits 2 with a message on malformed, out-of-range or
+/// unknown flags.
 BenchOptions parse_options(int argc, const char* const* argv,
                            std::vector<double> default_buffers_mb);
 
-/// Runs `seeds` replications of `config` (varying only the seed) through
-/// the sweep engine and summarizes each metric produced by `extract`.
-/// Replication sub-seeds come from SeedSequence(base_seed).derive(r), so
-/// the result is independent of `jobs`.
-std::map<std::string, Summary> replicate(
-    ExperimentConfig config, const BenchOptions& options,
-    const std::function<std::map<std::string, double>(const ExperimentResult&)>& extract);
+/// The whole main() of a replicated bench, after option parsing: prints
+/// the banner (+ workload table where `sweep` asks for it) and one CSV row
+/// per case to stdout, runs cases x seeds on a TaskPool with common random
+/// numbers (every case sees SeedSequence(base_seed).derive(r)), writes
+/// --metrics-out, and reports failed runs on stderr.  Returns the process
+/// exit code: 1 if any run failed or the artifact could not be written.
+int run_bench_sweep(FigureSweep sweep, const BenchOptions& options);
 
-/// Standard extractors.
-std::map<std::string, double> throughput_metric(const ExperimentResult& result);
-std::map<std::string, double> conformant_loss_metric(const ExperimentResult& result,
-                                                     const std::vector<FlowId>& conformant);
-
-/// Prints the workload tables so every figure binary is self-describing.
-void print_table1(std::ostream& out);
-void print_table2(std::ostream& out);
-
-/// Prints a figure banner with run parameters.  Deliberately excludes
-/// --jobs so the full output stream stays byte-identical across thread
-/// counts (jobs info goes to stderr).
-void print_banner(std::ostream& out, const std::string& figure, const std::string& what,
-                  const BenchOptions& options);
-
-/// The whole main() of a bench_fig* binary: parses options with the
-/// figure's default buffer grid, prints banner (+ workload table where the
-/// figure calls for it) and the CSV series to stdout, runs the grid x
-/// seeds sweep on a TaskPool, and reports run failures on stderr.
-/// Returns the process exit code.
+/// main() of a bench_fig* binary: parse_options with the figure's default
+/// buffer grid, then run_bench_sweep over make_figure_sweep(figure).
 int run_figure_main(int figure, int argc, const char* const* argv);
 
 }  // namespace bufq::bench

@@ -13,7 +13,7 @@
 //   --buffer_mb   total buffer in MB                 (default 1.0)
 //   --headroom_kb sharing headroom in KB             (default 300)
 //   --dt_alpha    dynamic-threshold multiplier       (default 1.0)
-//   --seeds       replications                       (default 5)
+//   --seeds       replications, >= 1                 (default 5)
 //   --warmup, --duration  seconds                    (default 5 / 20)
 //   --delays      also report per-flow delays        (default false)
 //   --checkpoint-out=DIR   snapshot each replication mid-run into DIR
@@ -22,6 +22,10 @@
 //                          match a plain run exactly
 //   --checkpoint-events=N / --checkpoint-at=SECS  when to snapshot
 //                          (default: end of warmup)
+//
+// The replications run in parallel as one case of the sweep engine
+// (expt/sweep.h); checkpoint files are named as the engine names them.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -30,10 +34,9 @@
 #include "expt/experiment.h"
 #include "expt/sweep.h"
 #include "expt/workloads.h"
-#include "sim/checkpoint.h"
-#include "stats/replication.h"
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/task_pool.h"
 
 namespace {
 
@@ -67,32 +70,14 @@ int main(int argc, char** argv) {
     config.warmup = Time::from_seconds(flags.get_double("warmup", 5.0));
     config.duration = Time::from_seconds(flags.get_double("duration", 20.0));
     config.record_delays = flags.get_bool("delays", false);
-    const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 5));
 
-    const auto checkpoint_out = flags.get("checkpoint-out");
-    const auto checkpoint_in = flags.get("checkpoint-in");
-    const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
-    if (static_cast<int>(checkpoint_out.has_value()) +
-            static_cast<int>(checkpoint_in.has_value()) + static_cast<int>(roundtrip) >
-        1) {
-      throw std::invalid_argument(
-          "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually "
-          "exclusive");
-    }
-    auto checkpoint_mode = SweepCheckpointMode::kOff;
-    std::string checkpoint_dir;
-    if (checkpoint_out) {
-      checkpoint_mode = SweepCheckpointMode::kWrite;
-      checkpoint_dir = *checkpoint_out;
-    } else if (checkpoint_in) {
-      checkpoint_mode = SweepCheckpointMode::kRead;
-      checkpoint_dir = *checkpoint_in;
-    } else if (roundtrip) {
-      checkpoint_mode = SweepCheckpointMode::kRoundtrip;
-    }
-    CheckpointTrigger trigger;
-    trigger.events = static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
-    trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
+    // Replication k runs seed SeedSequence(1).derive(k), the common-random-
+    // numbers set every bench uses.
+    SweepOptions options;
+    options.replications = flags.get_count("seeds", 5, 1);
+    options.jobs = std::min(options.replications, TaskPool::default_thread_count());
+    options.seed_mode = SeedMode::kSharedAcrossCases;
+    options.checkpoint = parse_sweep_checkpoint(flags);
 
     std::vector<FlowId> conformant;
     if (workload == "table1") {
@@ -118,47 +103,31 @@ int main(int argc, char** argv) {
 
     std::printf("workload=%s scheduler=%s manager=%s buffer=%s seeds=%zu\n\n",
                 workload.c_str(), scheduler.c_str(), manager.c_str(),
-                config.buffer.to_string().c_str(), seeds);
+                config.buffer.to_string().c_str(), options.replications);
 
     // Per-flow metrics across replications.
-    ReplicationRunner runner{1, seeds};
     const bool with_delays = config.record_delays;
-    const auto metrics = runner.run([&, config](std::uint64_t seed) {
-      ExperimentConfig trial_config = config;
-      trial_config.seed = seed;
-      const auto result = [&]() -> ExperimentResult {
-        const std::string path =
-            checkpoint_dir + "/ckpt_seed" + std::to_string(seed) + ".bufq";
-        switch (checkpoint_mode) {
-          case SweepCheckpointMode::kOff:
-            return run_experiment(trial_config);
-          case SweepCheckpointMode::kRoundtrip: {
-            const CheckpointedRun run = run_experiment_with_checkpoint(trial_config, trigger);
-            return resume_experiment(trial_config, run.checkpoint);
+    const std::size_t flow_count = config.flows.size();
+    SweepCase single;
+    single.label = workload;
+    single.config = config;
+    const SweepResult result = run_sweep(
+        {std::move(single)},
+        [&](const ExperimentResult& r) {
+          std::map<std::string, double> m;
+          m["agg_mbps"] = r.aggregate_throughput_mbps();
+          m["conformant_loss"] = r.loss_ratio(conformant);
+          for (std::size_t f = 0; f < flow_count; ++f) {
+            m[flow_key(f, "_mbps")] = r.flow_throughput_mbps(static_cast<FlowId>(f));
+            m[flow_key(f, "_loss")] = r.per_flow[f].loss_ratio();
+            if (with_delays) m[flow_key(f, "_delay_ms")] = r.delays[f].mean_s * 1e3;
           }
-          case SweepCheckpointMode::kWrite: {
-            CheckpointedRun run = run_experiment_with_checkpoint(trial_config, trigger);
-            write_checkpoint_file(path, run.checkpoint);
-            return std::move(run.result);
-          }
-          case SweepCheckpointMode::kRead:
-            return resume_experiment(trial_config, read_checkpoint_file(path));
-        }
-        return run_experiment(trial_config);  // unreachable
-      }();
-      std::map<std::string, double> m;
-      m["agg_mbps"] = result.aggregate_throughput_mbps();
-      m["conformant_loss"] = result.loss_ratio(conformant);
-      for (std::size_t f = 0; f < trial_config.flows.size(); ++f) {
-        const auto id = static_cast<FlowId>(f);
-        m[flow_key(f, "_mbps")] = result.flow_throughput_mbps(id);
-        m[flow_key(f, "_loss")] = result.per_flow[f].loss_ratio();
-        if (with_delays) {
-          m[flow_key(f, "_delay_ms")] = result.delays[f].mean_s * 1e3;
-        }
-      }
-      return m;
-    });
+          return m;
+        },
+        options);
+    const SweepRow& row = result.rows.front();
+    if (!row.error.empty()) throw std::runtime_error(row.error);
+    const auto& metrics = row.metrics;
 
     TextTable table{with_delays
                         ? std::vector<std::string>{"flow", "reserved(Mb/s)",
@@ -166,23 +135,23 @@ int main(int argc, char** argv) {
                                                    "mean delay(ms)"}
                         : std::vector<std::string>{"flow", "reserved(Mb/s)",
                                                    "goodput(Mb/s)", "ci95", "loss%"}};
-    for (std::size_t f = 0; f < config.flows.size(); ++f) {
+    for (std::size_t f = 0; f < flow_count; ++f) {
       const auto& mbps = metrics.at(flow_key(f, "_mbps"));
       const auto& loss = metrics.at(flow_key(f, "_loss"));
-      std::vector<std::string> row{
+      std::vector<std::string> cells{
           std::to_string(f), format_double(config.flows[f].token_rate.mbps()),
-          format_double(mbps.mean), format_double(mbps.half_width_95),
+          format_double(mbps.mean), format_double(mbps.ci95),
           format_double(loss.mean * 100.0)};
       if (with_delays) {
-        row.push_back(format_double(metrics.at(flow_key(f, "_delay_ms")).mean));
+        cells.push_back(format_double(metrics.at(flow_key(f, "_delay_ms")).mean));
       }
-      table.row(std::move(row));
+      table.row(std::move(cells));
     }
     table.print(std::cout);
 
     const auto& agg = metrics.at("agg_mbps");
     std::printf("\naggregate: %.2f +- %.2f Mb/s (utilization %.1f%%), conformant loss %.4f%%\n",
-                agg.mean, agg.half_width_95, agg.mean / config.link_rate.mbps() * 100.0,
+                agg.mean, agg.ci95, agg.mean / config.link_rate.mbps() * 100.0,
                 metrics.at("conformant_loss").mean * 100.0);
     return 0;
   } catch (const std::exception& e) {

@@ -36,6 +36,11 @@ std::vector<SchemeVariant> hybrid_figure_schemes(
   };
 }
 
+MetricSummary summary_of(const SweepRow& row, const std::string& name) {
+  const auto it = row.metrics.find(name);
+  return it != row.metrics.end() ? it->second : MetricSummary{};
+}
+
 namespace {
 
 ExperimentConfig base_config(int table, const FigureParams& params) {
@@ -77,13 +82,6 @@ std::vector<std::string> echo_cells(const SweepRow& row) {
   return cells;
 }
 
-/// Metric summary lookup tolerant of failed rows (all-zero fallback keeps
-/// the CSV well-formed; the driver reports the row's error separately).
-MetricSummary metric(const SweepRow& row, const std::string& name) {
-  const auto it = row.metrics.find(name);
-  return it != row.metrics.end() ? it->second : MetricSummary{};
-}
-
 MetricExtractor throughput_extractor() {
   return [](const ExperimentResult& r) {
     return std::map<std::string, double>{{"throughput_mbps", r.aggregate_throughput_mbps()}};
@@ -115,7 +113,7 @@ FigureSweep throughput_figure(std::string name, std::string what, int table,
   fig.cases = std::move(cases);
   fig.extract = throughput_extractor();
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary s = metric(row, "throughput_mbps");
+    const MetricSummary s = summary_of(row, "throughput_mbps");
     auto cells = echo_cells(row);
     cells.push_back(format_double(s.mean));
     cells.push_back(format_double(s.ci95));
@@ -135,7 +133,7 @@ FigureSweep loss_figure(std::string name, std::string what, int table,
   fig.cases = std::move(cases);
   fig.extract = conformant_loss_extractor(std::move(conformant));
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary s = metric(row, "loss_ratio");
+    const MetricSummary s = summary_of(row, "loss_ratio");
     auto cells = echo_cells(row);
     cells.push_back(format_double(s.mean));
     cells.push_back(format_double(s.ci95));
@@ -155,8 +153,8 @@ FigureSweep excess_figure(std::string name, std::string what, int table,
   fig.cases = std::move(cases);
   fig.extract = excess_flows_extractor();
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary f6 = metric(row, "flow6_mbps");
-    const MetricSummary f8 = metric(row, "flow8_mbps");
+    const MetricSummary f6 = summary_of(row, "flow6_mbps");
+    const MetricSummary f8 = summary_of(row, "flow8_mbps");
     auto cells = echo_cells(row);
     cells.push_back(format_double(f6.mean));
     cells.push_back(format_double(f6.ci95));
@@ -201,11 +199,11 @@ FigureSweep headroom_figure(const FigureParams& params, const std::vector<double
     };
   };
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary loss = metric(row, "loss_ratio");
+    const MetricSummary loss = summary_of(row, "loss_ratio");
     auto cells = echo_cells(row);
     cells.push_back(format_double(loss.mean));
     cells.push_back(format_double(loss.ci95));
-    cells.push_back(format_double(metric(row, "throughput_mbps").mean));
+    cells.push_back(format_double(summary_of(row, "throughput_mbps").mean));
     return cells;
   };
   return fig;
@@ -227,8 +225,8 @@ FigureSweep hybrid2_loss_figure(std::vector<SweepCase> cases) {
     };
   };
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary c = metric(row, "conformant_loss");
-    const MetricSummary m = metric(row, "moderate_loss");
+    const MetricSummary c = summary_of(row, "conformant_loss");
+    const MetricSummary m = summary_of(row, "moderate_loss");
     auto cells = echo_cells(row);
     cells.push_back(format_double(c.mean));
     cells.push_back(format_double(c.ci95));
@@ -258,8 +256,8 @@ FigureSweep hybrid2_excess_figure(std::vector<SweepCase> cases) {
     };
   };
   fig.format_row = [](const SweepRow& row) {
-    const MetricSummary a = metric(row, "aggressive_mbps");
-    const MetricSummary m = metric(row, "moderate_mbps");
+    const MetricSummary a = summary_of(row, "aggressive_mbps");
+    const MetricSummary m = summary_of(row, "moderate_mbps");
     auto cells = echo_cells(row);
     cells.push_back(format_double(a.mean));
     cells.push_back(format_double(a.ci95));

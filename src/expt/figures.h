@@ -49,7 +49,7 @@ struct FigureParams {
 struct FigureSweep {
   std::string name;   ///< "Figure 7"
   std::string what;   ///< banner description
-  int workload_table; ///< 1 or 2 (which profile table applies)
+  int workload_table{1};  ///< 1 or 2 (which profile table applies)
   /// Whether the driver should print the workload table (the first figure
   /// of each workload family does; the rest reference it).
   bool print_workload{false};
@@ -59,6 +59,11 @@ struct FigureSweep {
   /// Formats one reduced row into cells matching `columns`.
   std::function<std::vector<std::string>(const SweepRow&)> format_row;
 };
+
+/// A row's summary of metric `name`, all zero when the row lacks it: a
+/// failed row still prints a well-formed CSV line, and the driver reports
+/// the row's error separately.
+[[nodiscard]] MetricSummary summary_of(const SweepRow& row, const std::string& name);
 
 /// The figure's stock buffer grid (MB).
 [[nodiscard]] std::vector<double> figure_default_buffers_mb(int figure);

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/checkpoint.h"
-#include "stats/replication.h"
 #include "util/annotations.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -71,6 +73,32 @@ ExperimentResult run_checkpointed(const ExperimentConfig& config,
 
 }  // namespace
 
+double t_critical_95(std::size_t df) {
+  // Two-sided 95% quantiles of the t distribution; beyond the table the
+  // normal approximation is within 0.5%.
+  static constexpr double kTable[] = {
+      12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+      2.201,  2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+      2.080,  2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+  };
+  assert(df >= 1);
+  if (df <= std::size(kTable)) return kTable[df - 1];
+  return 1.960;
+}
+
+MetricSummary summarize(const std::vector<double>& samples) {
+  assert(!samples.empty());
+  MetricSummary s;
+  s.n = samples.size();
+  s.mean = std::accumulate(samples.begin(), samples.end(), 0.0) / static_cast<double>(s.n);
+  if (s.n == 1) return s;
+  double ss = 0.0;
+  for (double x : samples) ss += (x - s.mean) * (x - s.mean);
+  s.stddev = std::sqrt(ss / static_cast<double>(s.n - 1));
+  s.ci95 = t_critical_95(s.n - 1) * s.stddev / std::sqrt(static_cast<double>(s.n));
+  return s;
+}
+
 bool SweepResult::ok() const {
   return std::all_of(rows.begin(), rows.end(),
                      [](const SweepRow& row) { return row.error.empty(); });
@@ -78,7 +106,10 @@ bool SweepResult::ok() const {
 
 SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extract,
                       const SweepOptions& options) {
-  const std::size_t replications = std::max<std::size_t>(options.replications, 1);
+  if (options.replications == 0) {
+    throw std::invalid_argument("a sweep needs at least 1 replication per case");
+  }
+  const std::size_t replications = options.replications;
   const std::size_t total = cases.size() * replications;
   const SeedSequence seq{options.base_seed};
   BUFQ_LINT_SUPPRESS("determinism-wall-clock", "progress/ETA display only; never feeds a result CSV");
@@ -208,17 +239,7 @@ SweepResult run_sweep(std::vector<SweepCase> cases, const MetricExtractor& extra
       if (samples.size() != succeeded && row.error.empty()) {
         row.error = "metric '" + name + "' missing from some replications";
       }
-      const Summary s = summarize(samples);
-      MetricSummary m;
-      m.mean = s.mean;
-      m.ci95 = s.half_width_95;
-      m.n = s.n;
-      if (samples.size() > 1) {
-        double ss = 0.0;
-        for (double x : samples) ss += (x - s.mean) * (x - s.mean);
-        m.stddev = std::sqrt(ss / static_cast<double>(samples.size() - 1));
-      }
-      row.metrics[name] = m;
+      row.metrics[name] = summarize(samples);
     }
     result.rows.push_back(std::move(row));
   }
@@ -271,6 +292,31 @@ void write_sweep_csv(std::ostream& out, const SweepResult& result) {
     cells.push_back(sanitize_cell(row.error));
     csv.row(cells);
   }
+}
+
+SweepCheckpoint parse_sweep_checkpoint(const Flags& flags) {
+  const auto checkpoint_out = flags.get("checkpoint-out");
+  const auto checkpoint_in = flags.get("checkpoint-in");
+  const bool roundtrip = flags.get_bool("checkpoint-roundtrip", false);
+  if (static_cast<int>(checkpoint_out.has_value()) + static_cast<int>(checkpoint_in.has_value()) +
+          static_cast<int>(roundtrip) >
+      1) {
+    throw std::invalid_argument(
+        "--checkpoint-out, --checkpoint-in and --checkpoint-roundtrip are mutually exclusive");
+  }
+  SweepCheckpoint checkpoint;
+  if (checkpoint_out) {
+    checkpoint.mode = SweepCheckpointMode::kWrite;
+    checkpoint.dir = *checkpoint_out;
+  } else if (checkpoint_in) {
+    checkpoint.mode = SweepCheckpointMode::kRead;
+    checkpoint.dir = *checkpoint_in;
+  } else if (roundtrip) {
+    checkpoint.mode = SweepCheckpointMode::kRoundtrip;
+  }
+  checkpoint.trigger.events = static_cast<std::uint64_t>(flags.get_int("checkpoint-events", 0));
+  checkpoint.trigger.at = Time::from_seconds(flags.get_double("checkpoint-at", 0.0));
+  return checkpoint;
 }
 
 }  // namespace bufq

@@ -22,6 +22,7 @@
 
 #include "expt/experiment.h"
 #include "stats/collector.h"
+#include "util/flags.h"
 
 namespace bufq {
 
@@ -109,7 +110,8 @@ struct SweepOptions {
   /// Worker threads; <= 1 runs inline on the calling thread (the serial
   /// reference the CI speedup guard compares against).
   std::size_t jobs{1};
-  /// Runs per case; > 1 populates the stddev / CI columns.
+  /// Runs per case, >= 1 (run_sweep rejects 0); > 1 populates the
+  /// stddev / CI columns.
   std::size_t replications{1};
   /// Root of the SeedSequence tree every run seed derives from.
   std::uint64_t base_seed{1};
@@ -125,13 +127,21 @@ struct SweepOptions {
   SweepCheckpoint checkpoint;
 };
 
-/// Mean / sample stddev / 95% Student-t half-width over the replications.
+/// Mean / sample stddev / 95% Student-t half-width over the replications
+/// — the paper's "mean of k runs with a 95% confidence interval".
 struct MetricSummary {
   double mean{0.0};
   double stddev{0.0};
   double ci95{0.0};
   std::size_t n{0};
 };
+
+/// Two-sided 95% Student-t critical value for `df` >= 1 degrees of freedom.
+[[nodiscard]] double t_critical_95(std::size_t df);
+
+/// Summarizes a non-empty sample: ci95 = t(n-1) * stddev / sqrt(n).  A
+/// single sample has zero stddev and half-width.
+[[nodiscard]] MetricSummary summarize(const std::vector<double>& samples);
 
 /// One case folded over its replications.
 struct SweepRow {
@@ -151,8 +161,8 @@ struct SweepRow {
   std::uint64_t check_violations{0};
   /// Observability registry folded (RegistrySnapshot::merge) over the
   /// replications — see ExperimentResult::metrics.  Deliberately NOT
-  /// serialized by write_sweep_csv: its wall-clock components (sim.wall_ns,
-  /// time.*) would break the bit-identical CSV contract.
+  /// serialized by write_sweep_csv: its wall-clock component (sim.wall_ns)
+  /// would break the bit-identical CSV contract.
   obs::RegistrySnapshot obs_metrics;
   /// First exception message if any replication threw; such a row keeps
   /// the metrics of its surviving replications.
@@ -176,7 +186,8 @@ struct SweepResult {
 using MetricExtractor = std::function<std::map<std::string, double>(const ExperimentResult&)>;
 
 /// Runs the grid.  Exceptions inside runs are contained to their row
-/// (error column); the pool always drains.
+/// (error column); the pool always drains.  Throws std::invalid_argument
+/// when options.replications is 0.
 [[nodiscard]] SweepResult run_sweep(std::vector<SweepCase> cases,
                                     const MetricExtractor& extract,
                                     const SweepOptions& options);
@@ -186,5 +197,13 @@ using MetricExtractor = std::function<std::map<std::string, double>(const Experi
 /// delivered/dropped byte totals + replications/violations/error.
 /// Deterministic for a fixed seed regardless of SweepOptions::jobs.
 void write_sweep_csv(std::ostream& out, const SweepResult& result);
+
+/// Reads the command-line checkpoint policy every sweep driver shares:
+///   --checkpoint-out=DIR    kWrite into DIR
+///   --checkpoint-in=DIR     kRead from DIR
+///   --checkpoint-roundtrip  kRoundtrip
+///   --checkpoint-events=N / --checkpoint-at=SECS  the trigger
+/// Throws std::invalid_argument when more than one mode flag is given.
+[[nodiscard]] SweepCheckpoint parse_sweep_checkpoint(const Flags& flags);
 
 }  // namespace bufq

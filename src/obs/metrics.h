@@ -6,9 +6,9 @@
 // on the cold registration path.  Instrumented components capture null-safe
 // *handles* at construction time from `MetricsRegistry::current()`: when no
 // registry is installed every record is a single predictable branch, so
-// un-observed runs pay essentially nothing and no build flag is needed for
-// the always-on counters (wall-clock scope timers are separate — see
-// trace.h, compiled out unless BUFQ_TRACE=ON, mirroring BUFQ_CHECK).
+// un-observed runs pay essentially nothing and no build flag is needed.
+// Wall-clock timing of the hot paths lives outside the library, in
+// perfbench's spans and bench_scalability's explicit timers.
 //
 // Confinement mirrors `check::ScopedChecker` (PR 3): `ScopedMetrics`
 // installs a thread-local run-private registry, so parallel sweep workers

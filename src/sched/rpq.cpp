@@ -5,7 +5,6 @@
 #include <cassert>
 
 #include "check/invariants.h"
-#include "obs/trace.h"
 #include "sim/checkpoint.h"
 #include "util/annotations.h"
 
@@ -127,7 +126,6 @@ BUFQ_HOT bool RpqScheduler::enqueue(const Packet& packet, Time now) {
 
 BUFQ_HOT std::optional<Packet> RpqScheduler::dequeue(Time now) {
   if (backlogged_packets_ == 0) return std::nullopt;
-  BUFQ_TRACE("sched.dequeue");
   const std::int64_t slot = first_occupied_slot();
   min_slot_ = slot;
   const std::size_t idx = index_of(slot);

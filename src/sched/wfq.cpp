@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "check/invariants.h"
-#include "obs/trace.h"
 #include "sim/checkpoint.h"
 #include "util/annotations.h"
 
@@ -111,7 +110,6 @@ BUFQ_HOT bool WfqScheduler::enqueue(const Packet& packet, Time now) {
 
 BUFQ_HOT std::optional<Packet> WfqScheduler::dequeue(Time now) {
   if (backlogged_packets_ == 0) return std::nullopt;
-  BUFQ_TRACE("sched.dequeue");
   advance_virtual_time(now);
 
   const std::size_t cls = hol_.pop().second;

@@ -22,7 +22,6 @@
 
 #include "check/invariants.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/calendar_queue.h"
 #include "sim/inline_action.h"
 #include "util/annotations.h"
@@ -130,7 +129,6 @@ class Simulator {
   /// crossing was an ordinary wire-arrival event.  Requires t >= now().
   template <typename Fn>
   BUFQ_HOT void dispatch_external(Time t, Fn&& fn) {
-    BUFQ_TRACE("sim.step");
     BUFQ_CHECK(t >= now_, check::Invariant::kEventClock, -1, now_, t.to_seconds(),
                now_.to_seconds(), "boundary event behind the shard clock");
     now_ = t;
@@ -163,7 +161,6 @@ class Simulator {
  private:
   /// The shared per-event body: clock advance, accounting, invoke.
   BUFQ_HOT void dispatch(CalendarQueue::Event& ev) {
-    BUFQ_TRACE("sim.step");
     BUFQ_CHECK(ev.time >= now_, check::Invariant::kEventClock, -1, now_, ev.time.to_seconds(),
                now_.to_seconds(), "event calendar ran backwards");
     now_ = ev.time;

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <sstream>
 #include <stdexcept>
 
 namespace bufq {
@@ -61,6 +62,32 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" + *v + "'");
+}
+
+std::size_t Flags::get_count(const std::string& name, std::size_t fallback,
+                             std::size_t min) const {
+  const std::int64_t v = get_int(name, static_cast<std::int64_t>(fallback));
+  if (v < static_cast<std::int64_t>(min)) {
+    throw std::invalid_argument("flag --" + name + " must be >= " + std::to_string(min) +
+                                ", got " + std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
+std::optional<std::vector<double>> Flags::get_double_list(const std::string& name) const {
+  const auto v = get(name);
+  if (!v) return std::nullopt;
+  std::vector<double> values;
+  std::stringstream ss{*v};
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    try {
+      values.push_back(std::stod(item));
+    } catch (const std::exception&) {
+      throw std::invalid_argument("flag --" + name + " expects numbers, got '" + *v + "'");
+    }
+  }
+  return values;
 }
 
 std::vector<std::string> Flags::unused() const {

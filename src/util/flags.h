@@ -3,6 +3,7 @@
 // positional argument.  Unknown flags are an error so typos fail fast.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -21,6 +22,12 @@ class Flags {
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+  /// A count (replications, worker threads): an integer >= `min`, else
+  /// std::invalid_argument.
+  [[nodiscard]] std::size_t get_count(const std::string& name, std::size_t fallback,
+                                      std::size_t min) const;
+  /// A comma-separated list of numbers, e.g. --buffers=0.5,1,2.
+  [[nodiscard]] std::optional<std::vector<double>> get_double_list(const std::string& name) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 

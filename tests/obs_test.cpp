@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/task_pool.h"
 
 namespace bufq::obs {
@@ -275,26 +274,6 @@ TEST(ScopedMetricsTest, FoldedSnapshotsIndependentOfWorkerCount) {
     EXPECT_EQ(parallel.gauges.at("level").last, serial.gauges.at("level").last);
     EXPECT_EQ(parallel.gauges.at("level").max, serial.gauges.at("level").max);
   }
-}
-
-TEST(TraceTest, ScopeTimerRecordsIntoCurrentRegistry) {
-  ScopedMetrics scope;
-  { const ScopeTimer timer{"unit"}; }
-  const RegistrySnapshot snap = scope.registry().snapshot();
-  ASSERT_EQ(snap.histograms.count("time.unit"), 1u);
-  EXPECT_EQ(snap.histograms.at("time.unit").count, 1u);
-}
-
-TEST(TraceTest, ScopeTimerIsInertWithoutRegistry) {
-  ASSERT_EQ(MetricsRegistry::current(), nullptr);
-  { const ScopeTimer timer{"unit"}; }  // must not crash or allocate a registry
-  EXPECT_EQ(MetricsRegistry::current(), nullptr);
-}
-
-TEST(TraceTest, MacroCompiles) {
-  // Expands to a timer or to void depending on BUFQ_TRACE; both must parse.
-  BUFQ_TRACE("macro_site");
-  EXPECT_TRUE(BUFQ_TRACE_ENABLED == 0 || BUFQ_TRACE_ENABLED == 1);
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
 // Sweep-engine tests: the determinism contract (bit-identical CSV at any
-// --jobs), replication seeding, summary math, and exception containment.
+// --jobs), replication seeding, the mean / 95% CI summary, the shared
+// checkpoint-flag parser, and exception containment.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "expt/churn_experiment.h"
 #include "expt/sweep.h"
 #include "expt/workloads.h"
-#include "stats/replication.h"
 #include "util/csv.h"
+#include "util/flags.h"
 
 namespace bufq {
 namespace {
@@ -142,14 +145,23 @@ TEST(SweepEngineTest, SummaryMatchesManualComputation) {
   for (const SweepRow& row : result.rows) {
     const auto& samples = row.samples.at("throughput_mbps");
     const MetricSummary& m = row.metrics.at("throughput_mbps");
-    const Summary expected = summarize(samples);
-    EXPECT_DOUBLE_EQ(m.mean, expected.mean);
-    EXPECT_DOUBLE_EQ(m.ci95, expected.half_width_95);
-    EXPECT_EQ(m.n, samples.size());
+    ASSERT_EQ(samples.size(), 4u);
+    const double mean = (samples[0] + samples[1] + samples[2] + samples[3]) / 4.0;
     double ss = 0.0;
-    for (double x : samples) ss += (x - expected.mean) * (x - expected.mean);
-    EXPECT_DOUBLE_EQ(m.stddev, std::sqrt(ss / 3.0));
+    for (double x : samples) ss += (x - mean) * (x - mean);
+    const double stddev = std::sqrt(ss / 3.0);
+    EXPECT_DOUBLE_EQ(m.mean, mean);
+    EXPECT_DOUBLE_EQ(m.stddev, stddev);
+    EXPECT_DOUBLE_EQ(m.ci95, 3.182 * stddev / 2.0);  // t(3) * s / sqrt(4)
+    EXPECT_EQ(m.n, 4u);
   }
+}
+
+TEST(SweepEngineTest, ZeroReplicationsIsRejected) {
+  SweepOptions options;
+  options.replications = 0;
+  EXPECT_THROW(static_cast<void>(run_sweep(small_grid(), throughput_and_loss(), options)),
+               std::invalid_argument);
 }
 
 TEST(SweepEngineTest, ExceptionInOneRunIsContainedAndPoolDrains) {
@@ -199,6 +211,131 @@ TEST(SweepEngineTest, RowsComeBackInInputOrderWithParamEcho) {
     EXPECT_EQ(result.rows[i].label, reference[i].label);
     EXPECT_EQ(result.rows[i].params, reference[i].params);
   }
+}
+
+TEST(ReplicationTest, ParallelMatchesSerialOnRealSimulations) {
+  // Full churn simulations per replication through a custom runner, not
+  // just the built-in pipeline: this catches shared mutable state anywhere
+  // in the admission/simulation stack (RNG streams, collectors, flow
+  // tables, allocator-order dependence) that the figure grids never touch.
+  auto churn_cases = [] {
+    SweepCase c;
+    c.label = "churn";
+    c.runner = [](std::uint64_t seed) {
+      const ChurnResult r = run_churn_experiment(ChurnConfig{
+          .link_rate = Rate::megabits_per_second(48.0),
+          .buffer = ByteSize::megabytes(1.0),
+          .scheme = admission::Scheme::kFifoThreshold,
+          .max_flows = 64,
+          .churn = {.arrival_rate_hz = 80.0,
+                    .mean_holding = Time::milliseconds(300),
+                    .mix = {{.profile = {.peak_rate = Rate::megabits_per_second(8.0),
+                                         .avg_rate = Rate::megabits_per_second(1.0),
+                                         .bucket = ByteSize::kilobytes(16.0),
+                                         .token_rate = Rate::megabits_per_second(1.0),
+                                         .mean_burst = ByteSize::kilobytes(16.0),
+                                         .regulated = true},
+                             .weight = 1.0}}},
+          .warmup = Time::milliseconds(500),
+          .duration = Time::seconds(2),
+          .seed = seed,
+      });
+      ExperimentResult out;
+      out.per_flow = {r.traffic};
+      out.interval = r.interval;
+      out.metrics.counters = {{"churn.arrivals", r.counters.arrivals},
+                              {"churn.admitted", r.counters.admitted}};
+      return out;
+    };
+    return std::vector<SweepCase>{c, c};
+  };
+  const MetricExtractor extract = [](const ExperimentResult& r) {
+    return std::map<std::string, double>{
+        {"utilization", r.utilization(Rate::megabits_per_second(48.0))},
+        {"arrivals", static_cast<double>(r.metrics.counters.at("churn.arrivals"))},
+        {"admitted", static_cast<double>(r.metrics.counters.at("churn.admitted"))},
+    };
+  };
+  auto csv_at = [&](std::size_t jobs) {
+    SweepOptions options;
+    options.jobs = jobs;
+    options.replications = 4;
+    options.base_seed = 11;
+    const SweepResult result = run_sweep(churn_cases(), extract, options);
+    EXPECT_TRUE(result.ok());
+    EXPECT_GT(result.rows.front().metrics.at("admitted").mean, 0.0);
+    std::ostringstream out;
+    write_sweep_csv(out, result);
+    return out.str();
+  };
+  EXPECT_EQ(csv_at(1), csv_at(4));
+}
+
+// ------------------------------------------------------------ summaries
+
+TEST(SummarizeTest, SingleSampleHasZeroHalfWidth) {
+  const MetricSummary s = summarize({5.0});
+  EXPECT_DOUBLE_EQ(s.mean, 5.0);
+  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(s.ci95, 0.0);
+  EXPECT_EQ(s.n, 1u);
+}
+
+TEST(SummarizeTest, IdenticalSamplesHaveZeroHalfWidth) {
+  const MetricSummary s = summarize({2.0, 2.0, 2.0, 2.0, 2.0});
+  EXPECT_DOUBLE_EQ(s.mean, 2.0);
+  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(s.ci95, 0.0);
+}
+
+TEST(SummarizeTest, KnownFiveSampleCase) {
+  // Samples 1..5: mean 3, sd sqrt(2.5), t(4) = 2.776.
+  const MetricSummary s = summarize({1.0, 2.0, 3.0, 4.0, 5.0});
+  EXPECT_DOUBLE_EQ(s.mean, 3.0);
+  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
+  EXPECT_NEAR(s.ci95, 2.776 * std::sqrt(2.5) / std::sqrt(5.0), 1e-9);
+  EXPECT_EQ(s.n, 5u);
+}
+
+TEST(TCriticalTest, TableValuesAndTail) {
+  EXPECT_DOUBLE_EQ(t_critical_95(1), 12.706);
+  EXPECT_DOUBLE_EQ(t_critical_95(4), 2.776);
+  EXPECT_DOUBLE_EQ(t_critical_95(30), 2.042);
+  EXPECT_DOUBLE_EQ(t_critical_95(1000), 1.960);
+}
+
+TEST(TCriticalTest, MonotoneDecreasing) {
+  for (std::size_t df = 1; df < 30; ++df) {
+    EXPECT_GT(t_critical_95(df), t_critical_95(df + 1));
+  }
+}
+
+// ------------------------------------------------- checkpoint flag parser
+
+SweepCheckpoint checkpoint_from(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  const Flags flags{static_cast<int>(args.size()), args.data()};
+  return parse_sweep_checkpoint(flags);
+}
+
+TEST(SweepCheckpointFlagsTest, ModesTriggerAndDefaults) {
+  EXPECT_EQ(checkpoint_from({}).mode, SweepCheckpointMode::kOff);
+  const SweepCheckpoint out = checkpoint_from({"--checkpoint-out=d", "--checkpoint-events=7"});
+  EXPECT_EQ(out.mode, SweepCheckpointMode::kWrite);
+  EXPECT_EQ(out.dir, "d");
+  EXPECT_EQ(out.trigger.events, 7u);
+  const SweepCheckpoint in = checkpoint_from({"--checkpoint-in=e", "--checkpoint-at=1.5"});
+  EXPECT_EQ(in.mode, SweepCheckpointMode::kRead);
+  EXPECT_EQ(in.dir, "e");
+  EXPECT_EQ(in.trigger.at, Time::from_seconds(1.5));
+  EXPECT_EQ(checkpoint_from({"--checkpoint-roundtrip"}).mode, SweepCheckpointMode::kRoundtrip);
+}
+
+TEST(SweepCheckpointFlagsTest, ModeFlagsAreMutuallyExclusive) {
+  EXPECT_THROW(checkpoint_from({"--checkpoint-out=d", "--checkpoint-roundtrip"}),
+               std::invalid_argument);
+  EXPECT_THROW(checkpoint_from({"--checkpoint-out=d", "--checkpoint-in=d"}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -98,6 +98,23 @@ TEST(FlagsTest, BoolSynonyms) {
   EXPECT_FALSE(flags.get_bool("d", true));
 }
 
+TEST(FlagsTest, CountsRejectValuesBelowTheMinimum) {
+  const char* argv[] = {"prog", "--seeds=0", "--jobs=-1", "--ok=3"};
+  Flags flags{4, argv};
+  EXPECT_THROW((void)flags.get_count("seeds", 5, 1), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("jobs", 0, 0), std::invalid_argument);
+  EXPECT_EQ(flags.get_count("ok", 5, 1), 3u);
+  EXPECT_EQ(flags.get_count("absent", 5, 1), 5u);
+}
+
+TEST(FlagsTest, DoubleListSplitsOnCommas) {
+  const char* argv[] = {"prog", "--buffers=0.5,1,2.25", "--bad=0.5,,1"};
+  Flags flags{3, argv};
+  EXPECT_EQ(flags.get_double_list("buffers"), (std::vector<double>{0.5, 1.0, 2.25}));
+  EXPECT_THROW((void)flags.get_double_list("bad"), std::invalid_argument);
+  EXPECT_FALSE(flags.get_double_list("absent").has_value());
+}
+
 TEST(FlagsTest, UnusedTracksUnreadFlags) {
   const char* argv[] = {"prog", "--used=1", "--typo=2"};
   Flags flags{3, argv};
